@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test faults tune zoo profile serve fleet chaos scale metrics regress verify
+.PHONY: test faults tune zoo profile serve fleet chaos scale metrics regress bench-smoke verify
 
 test:
 	python -m pytest -x -q
@@ -43,6 +43,9 @@ metrics:
 
 regress:
 	python -m repro.telemetry.regress benchmarks
+
+bench-smoke:
+	python3 -m pytest swbench/tests -q
 
 verify:
 	sh scripts/verify.sh

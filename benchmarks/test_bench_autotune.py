@@ -87,7 +87,7 @@ def test_bench_autotune(benchmark, tmp_path):
         "one_cg_gflops": round(one.gflops, 1),
         "four_cg_gflops": round(four.gflops, 1),
         "scaling": round(four.gflops / one.gflops, 2),
-        "four_cg_efficiency": round(four.efficiency, 3),
+        "four_cg_peak_fraction": round(four.efficiency, 3),
     }
 
     # -- 4. plan cache: cold tune, then warm hit ----------------------------

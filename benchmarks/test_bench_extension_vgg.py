@@ -16,14 +16,14 @@ def test_bench_extension_vgg16_training_step(benchmark):
     table = TextTable(
         ["layer", "kind", "Gflops", "fwd (ms)", "bwd (ms)"], float_fmt="{:.1f}"
     )
-    for layer in timing.layers:
+    for layer, cost in zip(timing.layers, timing.costs):
         table.add_row(
             [
                 layer.name,
                 layer.kind,
-                layer.flops / 1e9,
-                layer.forward_seconds * 1e3,
-                layer.backward_seconds * 1e3,
+                layer.flops() / 1e9,
+                cost.forward_seconds * 1e3,
+                cost.backward_seconds * 1e3,
             ]
         )
     print()
@@ -38,6 +38,10 @@ def test_bench_extension_vgg16_training_step(benchmark):
     # The sustained rate should sit in the same band as the Fig. 7 layers.
     assert 0.8e3 < timing.sustained_gflops < 2.97e3
     # Convolutions dominate an ImageNet-class network (Section III-A).
-    conv_time = sum(l.total_seconds for l in timing.layers if l.kind == "conv")
+    conv_time = sum(
+        cost.total_seconds
+        for layer, cost in zip(timing.layers, timing.costs)
+        if layer.kind == "conv"
+    )
     assert conv_time / timing.step_seconds > 0.9
     benchmark.extra_info["images_per_second"] = round(timing.images_per_second, 1)

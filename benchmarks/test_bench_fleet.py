@@ -5,7 +5,7 @@ claims:
 
 * **throughput scaling at matched tail latency** — million-request bursty
   traces drained through the virtual-time fleet simulator at 1/2/4 chips,
-  each offered the same 50% utilization (so the 4-chip row carries 4x the
+  each offered the same 45% utilization (so the 4-chip row carries 4x the
   load), with the per-batch service times *measured* on a real warm
   engine pool and a measured cold-start charge on every (chip, shape)
   first touch.  The bar: >= 3x throughput at 4 chips with p99 within
@@ -87,7 +87,7 @@ def _calibrate():
 
 
 def _scaling_rows(table, cold_s):
-    """1/2/4-chip drains of million-request bursty traces, 50% utilization."""
+    """1/2/4-chip drains of million-request bursty traces, 45% utilization."""
     rng = derive_rng(SEED, "fleet.bench.mix")
     weights = 1.0 / np.arange(1, N_SHAPES + 1) ** SKEW
     weights /= weights.sum()

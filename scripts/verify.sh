@@ -20,6 +20,7 @@ CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-180}"
 SCALE_TIMEOUT="${SCALE_TIMEOUT:-180}"
 METRICS_TIMEOUT="${METRICS_TIMEOUT:-180}"
 REGRESS_TIMEOUT="${REGRESS_TIMEOUT:-60}"
+BENCH_SMOKE_TIMEOUT="${BENCH_SMOKE_TIMEOUT:-300}"
 
 echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout "${TIER1_TIMEOUT}" python -m pytest -x -q
@@ -101,5 +102,11 @@ echo "== bench regression gate (timeout ${REGRESS_TIMEOUT}s) =="
 # and fails with a delta table on any per-metric tolerance violation
 # (self-comparison here: the extractors and invariant metrics must hold).
 timeout "${REGRESS_TIMEOUT}" python -m repro.telemetry.regress benchmarks
+
+echo "== benchmark harness smoke (timeout ${BENCH_SMOKE_TIMEOUT}s) =="
+# Runs every swbench workload on tiny inputs through its real command
+# line, so a src/ change that breaks an entry point the harness patches
+# (swbench/tracing.py) fails here rather than in the benchmark run.
+timeout "${BENCH_SMOKE_TIMEOUT}" python3 -m pytest swbench/tests -q
 
 echo "verify: OK"

@@ -162,14 +162,14 @@ def cmd_zoo(args) -> int:
     table = TextTable(
         ["layer", "kind", "Gflops", "fwd (ms)", "bwd (ms)"], float_fmt="{:.1f}"
     )
-    for layer in timing.layers:
+    for layer, cost in zip(timing.layers, timing.costs):
         table.add_row(
             [
                 layer.name,
                 layer.kind,
-                layer.flops / 1e9,
-                layer.forward_seconds * 1e3,
-                layer.backward_seconds * 1e3,
+                layer.flops() / 1e9,
+                cost.forward_seconds * 1e3,
+                cost.backward_seconds * 1e3,
             ]
         )
     print(f"{timing.network} training step on one SW26010 (batch {timing.batch})")

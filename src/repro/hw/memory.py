@@ -74,18 +74,27 @@ class MainMemory:
         """
         if name in self._tensors:
             raise SimulationError(f"tensor {name!r} already registered")
-        if array.nbytes > self.bytes_free:
-            raise SimulationError(
-                f"tensor {name!r} needs {array.nbytes} bytes but only "
-                f"{self.bytes_free} bytes of main memory are free"
-            )
+        self._check_fits(name, array.nbytes)
         self._tensors[name] = array
         self._bytes_used += array.nbytes
         return array
 
     def allocate(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Allocate a zeroed tensor in main memory."""
+        """Allocate a zeroed tensor in main memory.
+
+        Capacity is checked before the host buffer exists, so a tensor the
+        machine could not hold is rejected without allocating it.
+        """
+        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        self._check_fits(name, nbytes)
         return self.register(name, np.zeros(shape, dtype=dtype))
+
+    def _check_fits(self, name: str, nbytes: int) -> None:
+        if nbytes > self.bytes_free:
+            raise SimulationError(
+                f"tensor {name!r} needs {nbytes} bytes but only "
+                f"{self.bytes_free} bytes of main memory are free"
+            )
 
     def free(self, name: str) -> None:
         """Remove a tensor from main memory."""

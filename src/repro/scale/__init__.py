@@ -6,11 +6,6 @@ The paper's introduction frames swDNN as the node-level substrate for
 
 * :mod:`repro.scale.network` — the Sunway interconnect (injection
   bandwidth per node, ring and tree allreduce time models);
-* :mod:`repro.scale.data_parallel` — per-iteration time of synchronous
-  data-parallel SGD: forward + backward on each node's SW26010 (timed by
-  the same plan machinery as everything else) plus the gradient allreduce,
-  with optional compute/communication overlap; weak- and strong-scaling
-  sweeps;
 * :mod:`repro.scale.exchange` — the data-parallel side of the
   gradient-exchange contract: exactly-rounded micro-gradient reduction
   and the shared :class:`ClusterExchange` replicas update through;
@@ -19,19 +14,18 @@ The paper's introduction frames swDNN as the node-level substrate for
   simulated timeline with comm/compute overlap, straggler/partition
   chaos, and ``comm.*`` telemetry;
 * :mod:`repro.scale.report` / :mod:`repro.scale.validate` — the
-  benchmark report both the ``train`` CLI and the bench emit, and its
-  schema gate.
+  benchmark report both the ``train`` CLI and the bench emit (the
+  executed run plus weak/strong-scaling and overlap curves modeled on the
+  same timeline), and its schema gate.
+
+Every per-node compute time comes from :func:`repro.core.zoo.layer_cost`,
+the one per-layer training-cost path.
 
 This is an *extension* beyond the paper's evaluation; its benches are
 labeled as such.
 """
 
 from repro.scale.network import InterconnectModel, allreduce_time
-from repro.scale.data_parallel import (
-    DataParallelModel,
-    LayerSpec,
-    ScalingPoint,
-)
 from repro.scale.exchange import ClusterExchange, exact_sum, reduce_micro_gradients
 from repro.scale.cluster import (
     ClusterFaultSpec,
@@ -53,9 +47,6 @@ from repro.scale.report import (
 __all__ = [
     "InterconnectModel",
     "allreduce_time",
-    "DataParallelModel",
-    "LayerSpec",
-    "ScalingPoint",
     "ClusterExchange",
     "exact_sum",
     "reduce_micro_gradients",

@@ -1,11 +1,11 @@
 """Executed N-node data-parallel training on simulated SW26010 nodes.
 
-Where :mod:`repro.scale.data_parallel` *models* synchronous data-parallel
-SGD, this module *executes* it: :class:`ClusterTrainer` holds N real model
-replicas (one per simulated node), shards every global batch across them,
-runs each shard's forward/backward with real numerics, reduces the
-gradients through the :class:`~repro.scale.exchange.ClusterExchange`, and
-schedules the communication on a simulated timeline over the
+:class:`ClusterTrainer` executes synchronous data-parallel SGD: it holds
+N real model replicas (one per simulated node), shards every global batch
+across them, runs each shard's forward/backward with real numerics,
+reduces the gradients through the
+:class:`~repro.scale.exchange.ClusterExchange`, and schedules the
+communication on a simulated timeline over the
 :class:`~repro.scale.network.InterconnectModel` — swCaffe's synchronous
 data-parallel scheme, reproduced end to end.
 
@@ -28,18 +28,19 @@ Numerics are decoupled from timing: gradients are reduced with the
 exactly-rounded sum of :mod:`repro.scale.exchange`, so the trained weights
 are bit-identical across node counts and topologies — the parity the
 tests prove — while the timeline depends on topology, bucketing, overlap
-and chaos.  Per-node compute time reuses the same plan machinery as the
-single-chip experiments (a whole SW26010 per node, all core groups, as in
-:mod:`repro.core.zoo`); per-link traffic and allreduce spans feed the
-telemetry fabric as ``comm.*`` counters and ``interconnect`` track spans.
+and chaos.  Per-node compute time is :func:`repro.core.zoo.layer_cost`,
+the per-layer cost the zoo and the modeled scaling curves of
+:mod:`repro.scale.report` also use (a whole SW26010 per node); the same
+:func:`simulate_step_timeline` schedules both.  Per-link traffic and
+allreduce spans feed the telemetry fabric as ``comm.*`` counters and
+``interconnect`` track spans.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,11 +48,11 @@ import numpy as np
 from repro.common.errors import PlanError
 from repro.common.parallel import resolve_jobs
 from repro.common.rng import DEFAULT_SEED, derive_rng
-from repro.core.backward import BackwardConvolution
-from repro.core.gemm_plan import GemmEngine, GemmParams, GemmPlan
+from repro.core.gemm_plan import GemmParams
 from repro.core.layers import Conv2D, Dense, SoftmaxCrossEntropy
 from repro.core.network import SGD, Sequential
 from repro.core.params import ConvParams
+from repro.core.zoo import LayerCost, ZooLayer, layer_cost
 from repro.hw.spec import DEFAULT_SPEC, SW26010Spec
 from repro.scale.exchange import ClusterExchange, reduce_micro_gradients
 from repro.scale.network import InterconnectModel
@@ -159,42 +160,6 @@ def _draw_step_faults(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LayerCost:
-    """One layer's simulated per-node training cost and gradient payload."""
-
-    name: str
-    forward_seconds: float
-    backward_seconds: float
-    gradient_bytes: int
-
-    @property
-    def has_gradients(self) -> bool:
-        return self.gradient_bytes > 0
-
-
-@lru_cache(maxsize=512)
-def _conv_training_cost(params: ConvParams, spec: SW26010Spec) -> Tuple[float, float]:
-    """(forward, backward) seconds for one conv layer on one core group."""
-    try:
-        bw = BackwardConvolution(params, spec=spec)
-        total, breakdown = bw.training_step_time()
-        fwd = breakdown["forward"].seconds
-        return fwd, total - fwd
-    except PlanError:
-        # Shapes the planner refuses (tiny probe layers): fall back to a
-        # roofline guess at a conservative 20% of per-CG peak.
-        fwd = params.flops() / (0.2 * spec.peak_flops_per_cg)
-        return fwd, 2.0 * fwd
-
-
-@lru_cache(maxsize=512)
-def _fc_training_cost(params: GemmParams, spec: SW26010Spec) -> Tuple[float, float]:
-    """(forward, backward) seconds for one dense layer on one core group."""
-    fwd = GemmEngine(GemmPlan(params, spec=spec)).evaluate().seconds
-    return fwd, 2.0 * fwd  # backward-data + backward-weight GEMMs
-
-
 def profile_network(
     network: Sequential,
     input_shape: Sequence[int],
@@ -203,42 +168,36 @@ def profile_network(
 ) -> List[LayerCost]:
     """Per-layer simulated (forward, backward) cost at ``batch`` per node.
 
-    A zeros probe pass records each layer's input shape; conv layers are
-    timed through the plan machinery (:class:`BackwardConvolution`), dense
-    layers as three mesh GEMMs, and the elementwise/bookkeeping layers
-    (ReLU, pooling, flatten) are free at this resolution.  One node is a
-    whole SW26010 — per-CG times divide by the core-group count, the
-    linear Section III-D scaling :mod:`repro.core.zoo` uses.
+    A zeros probe pass records each layer's input shape; conv and dense
+    layers are priced by :func:`repro.core.zoo.layer_cost` as the matching
+    :class:`~repro.core.zoo.ZooLayer`, and the elementwise/bookkeeping
+    layers (ReLU, pooling, flatten) are free at this resolution.  The
+    gradient payload counts every parameter the layer allreduces, bias
+    included.
     """
     if batch < 1:
         raise PlanError(f"batch must be positive, got {batch}")
     c, h, w = input_shape
     x = np.zeros((batch, c, h, w))
-    cg = spec.num_core_groups
     costs: List[LayerCost] = []
     for index, layer in enumerate(network.layers):
         shape = x.shape
         x = layer.forward(x)
+        name = f"{index}:{type(layer).__name__}"
         grad_bytes = sum(p.nbytes for p in layer.parameters().values())
         if isinstance(layer, Conv2D):
             b, ni, ri, ci = shape
             no, _, kr, kc = layer.w.shape
             params = ConvParams(ni=ni, no=no, ri=ri, ci=ci, kr=kr, kc=kc, b=b)
-            fwd, bwd = _conv_training_cost(params, spec)
+            zoo = ZooLayer(name, "conv", conv=params)
         elif isinstance(layer, Dense):
             in_features, out_features = layer.w.shape
             gemm = GemmParams(m=out_features, n=batch, k=in_features)
-            fwd, bwd = _fc_training_cost(gemm, spec)
+            zoo = ZooLayer(name, "fc", fc=gemm)
         else:
-            fwd = bwd = 0.0
-        costs.append(
-            LayerCost(
-                name=f"{index}:{type(layer).__name__}",
-                forward_seconds=fwd / cg,
-                backward_seconds=bwd / cg,
-                gradient_bytes=grad_bytes,
-            )
-        )
+            costs.append(LayerCost(name, 0.0, 0.0, grad_bytes))
+            continue
+        costs.append(replace(layer_cost(zoo, spec), gradient_bytes=grad_bytes))
     return costs
 
 

@@ -12,10 +12,10 @@ verify.sh gate).  The report has two halves:
   bitwise-identical weights, and the one-node cluster is bitwise equal to
   plain single-node :class:`~repro.core.network.SGD`;
 * **modeled curves** — weak/strong scaling and the overlap-vs-serialized
-  ablation on the VGG-ish stack of :mod:`repro.scale.data_parallel`,
-  scheduled through the same bucketed timeline the executed run uses
-  (not the older closed-form model), so the curves and the counters agree
-  on what one step costs.
+  ablation on :func:`repro.core.zoo.vgg_like_stack`, priced by the same
+  :func:`repro.core.zoo.layer_cost` and scheduled through the same
+  bucketed timeline the executed run uses, so the curves and the counters
+  agree on what one step costs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.common.errors import PlanError
 from repro.common.rng import DEFAULT_SEED
-from repro.core.gemm_plan import GemmParams
 from repro.core.layers import (
     AvgPool2D,
     Conv2D,
@@ -37,18 +36,15 @@ from repro.core.layers import (
     SoftmaxCrossEntropy,
 )
 from repro.core.network import SGD, Sequential, synthetic_image_dataset
+from repro.core.zoo import LayerCost, layer_cost, vgg_like_stack
 from repro.hw.spec import DEFAULT_SPEC, SW26010Spec
 from repro.scale.cluster import (
     ClusterFaultSpec,
     ClusterTrainer,
-    LayerCost,
-    _conv_training_cost,
-    _fc_training_cost,
     plan_buckets,
     simulate_step_timeline,
     weights_bitwise_equal,
 )
-from repro.scale.data_parallel import LayerSpec, vgg_like_stack
 from repro.scale.network import InterconnectModel
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -95,44 +91,8 @@ EXECUTED_CLASSES = 10
 
 
 # ---------------------------------------------------------------------------
-# modeled stack -> LayerCost (shared timeline with the executed path)
+# modeled curves (shared cost and timeline with the executed path)
 # ---------------------------------------------------------------------------
-
-
-def stack_costs(
-    layers: Sequence[LayerSpec],
-    per_node_batch: int,
-    spec: SW26010Spec = DEFAULT_SPEC,
-) -> List[LayerCost]:
-    """Per-layer :class:`LayerCost` for a modeled :class:`LayerSpec` stack.
-
-    Same cost sources as :func:`repro.scale.cluster.profile_network` —
-    conv layers through :class:`~repro.core.backward.BackwardConvolution`
-    with the forward/backward split, dense layers as mesh GEMMs, one whole
-    SW26010 (all core groups) per node.
-    """
-    if per_node_batch < 1:
-        raise PlanError(f"per-node batch must be positive, got {per_node_batch}")
-    cg = spec.num_core_groups
-    costs: List[LayerCost] = []
-    for index, layer in enumerate(layers):
-        if layer.kind == "conv":
-            params = layer.with_batch(per_node_batch).params
-            fwd, bwd = _conv_training_cost(params, spec)
-            name = f"{index}:conv{params.no}"
-        else:
-            gemm = GemmParams(m=layer.fc_out, n=per_node_batch, k=layer.fc_in)
-            fwd, bwd = _fc_training_cost(gemm, spec)
-            name = f"{index}:fc{layer.fc_out}"
-        costs.append(
-            LayerCost(
-                name=name,
-                forward_seconds=fwd / cg,
-                backward_seconds=bwd / cg,
-                gradient_bytes=layer.gradient_bytes(),
-            )
-        )
-    return costs
 
 
 def _timeline_row(
@@ -173,7 +133,7 @@ def weak_scaling_rows(
     spec: SW26010Spec = DEFAULT_SPEC,
 ) -> List[Dict[str, float]]:
     """Fixed per-node batch; efficiency = t(1) / t(N) (ideal: flat)."""
-    costs = stack_costs(vgg_like_stack(batch=per_node_batch), per_node_batch, spec)
+    costs = [layer_cost(layer, spec) for layer in vgg_like_stack(per_node_batch)]
     rows = [
         _timeline_row(costs, n, interconnect, topology, bucket_bytes, per_node_batch)
         for n in node_counts
@@ -196,7 +156,7 @@ def strong_scaling_rows(
     rows = []
     for n in node_counts:
         per_node = max(1, global_batch // n)
-        costs = stack_costs(vgg_like_stack(batch=per_node), per_node, spec)
+        costs = [layer_cost(layer, spec) for layer in vgg_like_stack(per_node)]
         rows.append(
             _timeline_row(costs, n, interconnect, topology, bucket_bytes, per_node)
         )
@@ -215,7 +175,7 @@ def overlap_rows(
     spec: SW26010Spec = DEFAULT_SPEC,
 ) -> List[Dict[str, float]]:
     """Overlapped bucketed allreduce vs the serialized schedule."""
-    costs = stack_costs(vgg_like_stack(batch=per_node_batch), per_node_batch, spec)
+    costs = [layer_cost(layer, spec) for layer in vgg_like_stack(per_node_batch)]
     buckets = plan_buckets(costs, bucket_bytes)
     rows = []
     for n in node_counts:

@@ -7,10 +7,13 @@ from repro.core.zoo import (
     NETWORKS,
     ZooLayer,
     cifar_quick,
+    layer_cost,
     time_network,
     vgg16,
+    vgg_like_stack,
 )
 from repro.core.gemm_plan import GemmParams
+from repro.core.params import ConvParams
 
 
 class TestDefinitions:
@@ -52,6 +55,26 @@ class TestDefinitions:
             ZooLayer(name="x", kind="conv")
         with pytest.raises(PlanError):
             ZooLayer(name="x", kind="fc")
+        with pytest.raises(PlanError):
+            ZooLayer(name="x", kind="pooling")
+        with pytest.raises(ValueError):  # non-positive FC sizes
+            ZooLayer(name="x", kind="fc", fc=GemmParams(m=10, n=4, k=0))
+
+    def test_gradient_bytes_count_weights_only(self):
+        p = ConvParams.from_output(ni=8, no=16, ro=8, co=8, kr=3, kc=3, b=4)
+        assert ZooLayer("c", "conv", conv=p).gradient_bytes() == 16 * 8 * 3 * 3 * 8
+        fc = ZooLayer("f", "fc", fc=GemmParams(m=10, n=4, k=100))
+        assert fc.gradient_bytes() == 100 * 10 * 8
+
+    def test_vgg_like_stack(self):
+        layers = vgg_like_stack(batch=32)
+        assert [l.kind for l in layers] == ["conv"] * 3 + ["fc"] * 2
+        assert all(l.conv.b == 32 for l in layers[:3])
+        assert all(l.fc.n == 32 for l in layers[3:])
+        for cost in map(layer_cost, layers):
+            assert cost.forward_seconds > 0 and cost.gradient_bytes > 0
+        with pytest.raises(PlanError):
+            vgg_like_stack(batch=0)
 
     def test_layer_flops(self):
         layer = ZooLayer(name="fc", kind="fc", fc=GemmParams(4, 5, 6))
@@ -64,21 +87,28 @@ class TestTiming:
         return time_network("cifar_quick", batch=64)
 
     def test_every_layer_timed(self, cifar_timing):
-        assert len(cifar_timing.layers) == 5
-        for layer in cifar_timing.layers:
-            assert layer.forward_seconds > 0
-            assert layer.backward_seconds > 0
+        assert len(cifar_timing.costs) == len(cifar_timing.layers) == 5
+        for layer, cost in zip(cifar_timing.layers, cifar_timing.costs):
+            assert cost.name == layer.name
+            assert cost.forward_seconds > 0
+            assert cost.backward_seconds > 0
+            assert cost.gradient_bytes == layer.gradient_bytes()
+            assert cost == layer_cost(layer)
 
     def test_backward_costs_more_than_forward(self, cifar_timing):
         """Two backward convolutions vs one forward."""
-        conv_layers = [l for l in cifar_timing.layers if l.kind == "conv"]
-        assert sum(l.backward_seconds for l in conv_layers) > sum(
-            l.forward_seconds for l in conv_layers
+        conv_costs = [
+            cost
+            for layer, cost in zip(cifar_timing.layers, cifar_timing.costs)
+            if layer.kind == "conv"
+        ]
+        assert sum(c.backward_seconds for c in conv_costs) > sum(
+            c.forward_seconds for c in conv_costs
         )
 
     def test_aggregates(self, cifar_timing):
         assert cifar_timing.step_seconds == pytest.approx(
-            sum(l.total_seconds for l in cifar_timing.layers)
+            sum(c.total_seconds for c in cifar_timing.costs)
         )
         assert cifar_timing.images_per_second > 0
         assert 0 < cifar_timing.sustained_gflops < 4 * 742.4

@@ -29,8 +29,16 @@ class TestMainMemory:
     def test_capacity_enforced(self):
         mem = MainMemory()
         too_big = DEFAULT_SPEC.memory_bytes // 8 + 1
+        # A broadcast view reports the full nbytes without allocating it.
+        huge = np.broadcast_to(np.zeros(1), (too_big,))
         with pytest.raises(SimulationError):
-            mem.register("huge", np.empty(too_big))
+            mem.register("huge", huge)
+
+    def test_allocate_checks_capacity_first(self):
+        mem = MainMemory()
+        with pytest.raises(SimulationError):
+            mem.allocate("huge", (DEFAULT_SPEC.memory_bytes // 8 + 1,))
+        assert mem.bytes_used == 0 and "huge" not in mem
 
     def test_free_releases_bytes(self):
         mem = MainMemory()

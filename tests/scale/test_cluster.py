@@ -7,7 +7,10 @@ import pytest
 
 from repro.common.errors import PlanError
 from repro.core.layers import AvgPool2D, Conv2D, Dense, Flatten, ReLU, SoftmaxCrossEntropy
+from repro.core.gemm_plan import GemmParams
 from repro.core.network import SGD, Sequential, synthetic_image_dataset
+from repro.core.params import ConvParams
+from repro.core.zoo import ZooLayer, layer_cost
 from repro.scale.cluster import (
     ClusterFaultSpec,
     ClusterTrainer,
@@ -141,6 +144,20 @@ class TestProfileNetwork:
     def test_bad_batch_rejected(self):
         with pytest.raises(PlanError):
             profile_network(make_factory()(), SHAPE, batch=0)
+
+    def test_seconds_are_the_zoo_layer_cost(self):
+        """One cost path: the executed probe prices a Conv2D and a Dense
+        exactly as the zoo prices the matching ZooLayers."""
+        costs = profile_network(make_factory()(), SHAPE, batch=8)
+        conv = ConvParams(ni=3, no=8, ri=10, ci=10, kr=3, kc=3, b=8)
+        dense = GemmParams(m=CLASSES, n=8, k=8 * 4 * 4)
+        zoo = [
+            layer_cost(ZooLayer("conv", "conv", conv=conv)),
+            layer_cost(ZooLayer("dense", "fc", fc=dense)),
+        ]
+        for executed, modeled in zip((costs[0], costs[4]), zoo):
+            assert executed.forward_seconds == modeled.forward_seconds
+            assert executed.backward_seconds == modeled.backward_seconds
 
 
 class TestPlanBuckets:

@@ -5,16 +5,15 @@ import json
 
 import pytest
 
+from repro.common.errors import PlanError
 from repro.scale.network import InterconnectModel
 from repro.scale.report import (
     build_dataparallel_report,
     overlap_rows,
     run_parity_check,
-    stack_costs,
     strong_scaling_rows,
     weak_scaling_rows,
 )
-from repro.scale.data_parallel import vgg_like_stack
 from repro.scale.validate import (
     MIN_OVERLAP_SPEEDUP,
     validate_dataparallel_report,
@@ -59,6 +58,21 @@ class TestScalingCurves:
         effs = [row["efficiency"] for row in rows]
         assert effs == sorted(effs, reverse=True)
         assert effs[-1] > 0.9  # overlap keeps weak scaling near-ideal
+        samples = [row["samples_per_second"] for row in rows]
+        assert samples == sorted(samples)
+
+    def test_slow_interconnect_lowers_weak_efficiency(self):
+        def efficiency_at_64(interconnect):
+            rows = weak_scaling_rows(interconnect, "ring", 1 << 20, node_counts=(1, 64))
+            return rows[-1]["efficiency"]
+
+        slow = InterconnectModel(bandwidth=1e9)
+        assert efficiency_at_64(slow) < efficiency_at_64(InterconnectModel())
+
+    @pytest.mark.parametrize("sizes", [{"per_node_batch": 0}, {"node_counts": (0,)}])
+    def test_empty_sizes_rejected(self, sizes):
+        with pytest.raises(PlanError):
+            weak_scaling_rows(InterconnectModel(), "ring", 1 << 20, **sizes)
 
     def test_strong_scaling_efficiency_collapses(self):
         rows = strong_scaling_rows(InterconnectModel(), "ring", 1 << 20)
@@ -68,12 +82,6 @@ class TestScalingCurves:
     def test_overlap_beats_serialized(self):
         for row in overlap_rows(InterconnectModel(), "ring", 1 << 20):
             assert row["overlapped_seconds"] <= row["serialized_seconds"]
-
-    def test_stack_costs_shapes(self):
-        costs = stack_costs(vgg_like_stack(batch=32), 32)
-        assert len(costs) == 5
-        assert all(c.forward_seconds > 0 for c in costs)
-        assert all(c.gradient_bytes > 0 for c in costs)
 
 
 class TestValidator:
