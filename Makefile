@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test faults tune zoo profile serve fleet chaos scale metrics regress bench-smoke verify
+.PHONY: test faults tune zoo profile serve fleet chaos scale metrics regress bench-smoke bench-pairs verify
 
 test:
 	python -m pytest -x -q
@@ -46,6 +46,15 @@ regress:
 
 bench-smoke:
 	python3 -m pytest swbench/tests -q
+
+# Paired benchmark runs of this checkout against PARENT (see the script).
+PARENT ?= HEAD~1
+WORKLOAD ?= sweep
+PAIRS ?= 10
+SECONDS ?= 30
+bench-pairs:
+	python3 scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS) --seconds $(SECONDS)
 
 verify:
 	sh scripts/verify.sh

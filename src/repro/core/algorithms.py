@@ -47,6 +47,7 @@ from repro.core.conv import (
     OVERLAP_CONTENTION,
     ConvolutionEngine,
     TimingReport,
+    _check_timing_knobs,
     _pipeline_timeline,
     _StepCost,
 )
@@ -481,6 +482,7 @@ class LoweredConvEngine:
     ):
         if backend not in BACKENDS:
             raise PlanError(f"unknown compute backend {backend!r}")
+        _check_timing_knobs(stride_efficiency, overlap_contention)
         if fault_plan is not None:
             raise PlanError(
                 f"the {plan.algorithm} algorithm does not support "

@@ -1,25 +1,28 @@
 """The convolution execution engine: functional + timed runs of a plan.
 
-Two concerns share one tile schedule (see :mod:`repro.core.plans`):
+Two concerns share one loop nest (see :mod:`repro.core.plans`):
 
-* **Functional**: each :class:`~repro.core.plans.ComputeSpec` is executed
-  as a real GEMM update — with NumPy directly ("numpy" backend) or through
-  the register-communication mesh schedule ("mesh" backend) — so a plan's
-  output is compared against :func:`repro.core.reference.conv2d_reference`.
-* **Timed**: each tile charges its DMA transfers against the Table II
-  bandwidth curve (with the calibrated stride derate) and its GEMM against
-  the reordered dual-pipeline kernel's measured cycles-per-FMA; the double
+* **Functional**: each :class:`~repro.core.plans.ComputeSpec` of the full
+  tile schedule is executed as a real GEMM update — with NumPy directly
+  ("numpy" backend) or through the register-communication mesh schedule
+  ("mesh" backend) — so a plan's output is compared against
+  :func:`repro.core.reference.conv2d_reference`.
+* **Timed**: each distinct tile of the plan's run-length tile program is
+  priced once — its DMA transfers against the Table II bandwidth curve
+  (with the calibrated stride derate), its GEMM against the reordered
+  dual-pipeline kernel's measured cycles-per-FMA — and the double
   buffering of Section IV-A overlaps the two on a two-deep pipeline
-  timeline.
+  timeline, tile by tile.
 
-The timed path never touches tensor data, so parameter sweeps over the
-100+ configurations of Figs. 7/9 run in milliseconds per configuration.
+The timed path never touches tensor data and builds no per-tile objects,
+so parameter sweeps over the 100+ configurations of Figs. 7/9 run in
+milliseconds per configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from repro.telemetry import current_telemetry
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
 from repro.perf.model import _measured_ee
 from repro.core.params import ConvParams
-from repro.core.plans import ConvPlan, TileStep
+from repro.core.plans import ConvPlan, TileStep, expand_program
 from repro.core.reference import conv2d_reference
 from repro.core.register_comm import MeshGemm
 
@@ -118,14 +121,74 @@ def clear_timing_cache() -> None:
 OVERLAP_CONTENTION = 0.5
 
 
+def _check_timing_knobs(stride_efficiency: float, overlap_contention: float) -> None:
+    """Reject timing knobs outside the ranges the timing model is defined on.
+
+    ``stride_efficiency`` derates the Table II bandwidth and must lie in
+    ``(0, 1]`` (the range :func:`~repro.perf.dma_model.blended_mbw`
+    enforces); ``overlap_contention`` is the charged-back share of hidden
+    time and must lie in ``[0, 1]`` (the range :func:`_pipeline_timeline`
+    enforces).  NaN fails both.  Engines call this when they are built, so
+    a bad knob never reaches a timed walk.
+    """
+    if not 0.0 < stride_efficiency <= 1.0:
+        raise ValueError(
+            f"stride_efficiency must be in (0, 1], got {stride_efficiency}"
+        )
+    if not 0.0 <= overlap_contention <= 1.0:
+        raise ValueError(
+            f"overlap_contention must be in [0, 1], got {overlap_contention}"
+        )
+
+
+#: One tile's scheduled windows, in seconds: ``(get_start, get_end,
+#: compute_start, compute_end, put_start, put_end)``.
+TileWindow = Tuple[float, float, float, float, float, float]
+
+
+def _tile_windows(costs: Iterable[_StepCost]) -> Iterator[TileWindow]:
+    """The double-buffered recurrence: one window tuple per tile.
+
+    Gets and puts run on separate descriptor queues (every CPE issues its
+    own DMA requests), so a store-back never blocks the next tile's
+    prefetch; a tile's load waits for the ping/pong buffer to free (the
+    compute of two tiles earlier).  Zero-length puts are pinned to the
+    tile's compute end (there is nothing to schedule).
+
+    The single source of truth for the schedule's timing: the timed
+    evaluation folds it (:func:`_pipeline_timeline`), and the Gantt tracer
+    and the telemetry span export read it through
+    :func:`pipeline_intervals`, so the views of a schedule can never drift
+    apart.  Each ``a if a > b else b`` is ``max(b, a)``, inlined.
+    """
+    get_free = put_free = comp_free = 0.0
+    comp_free_before = 0.0  # compute end of the tile two back
+    for cost in costs:
+        get_start = comp_free_before if comp_free_before > get_free else get_free
+        get_end = get_start + cost.get_seconds
+        comp_start = comp_free if comp_free > get_end else get_end
+        comp_end = comp_start + cost.compute_seconds
+        put_seconds = cost.put_seconds
+        if put_seconds > 0:
+            put_start = comp_end if comp_end > put_free else put_free
+            put_free = put_start + put_seconds
+            put_end = put_free
+        else:
+            put_start = put_end = comp_end
+        get_free = get_end
+        comp_free_before = comp_free
+        comp_free = comp_end
+        yield get_start, get_end, comp_start, comp_end, put_start, put_end
+
+
 @dataclass(frozen=True)
 class TileInterval:
     """Scheduled (get, compute, put) intervals of one tile, in seconds.
 
-    The single source of truth for the double-buffered recurrence: the
-    timed evaluation, the Gantt tracer (:mod:`repro.perf.trace`) and the
-    telemetry span export all consume these intervals, so the three views
-    of a schedule can never drift apart.
+    The readable record of one :func:`_tile_windows` window, tagged with
+    the tile's index — what the Gantt tracer (:mod:`repro.perf.trace`) and
+    the telemetry span export consume.  The timed evaluation folds the
+    bare windows and never builds these.
     """
 
     index: int
@@ -149,43 +212,13 @@ class TileInterval:
         return self.put_end - self.put_start
 
 
-def pipeline_intervals(costs: Iterable[_StepCost]) -> Iterable[TileInterval]:
+def pipeline_intervals(costs: Iterable[_StepCost]) -> Iterator[TileInterval]:
     """The double-buffered schedule of a cost stream, tile by tile.
 
-    Gets and puts run on separate descriptor queues (every CPE issues its
-    own DMA requests), so a store-back never blocks the next tile's
-    prefetch; a tile's load waits for the ping/pong buffer to free (the
-    compute of two tiles earlier).  Zero-length puts are pinned to the
-    tile's compute end (there is nothing to schedule).
+    Wraps each :func:`_tile_windows` window in a :class:`TileInterval`.
     """
-    get_free = 0.0
-    put_free = 0.0
-    comp_free = 0.0
-    comp_done_history: List[float] = []
-    for i, cost in enumerate(costs):
-        buffer_ready = comp_done_history[i - 2] if i >= 2 else 0.0
-        get_start = max(get_free, buffer_ready)
-        get_done = get_start + cost.get_seconds
-        comp_start = max(get_done, comp_free)
-        comp_done = comp_start + cost.compute_seconds
-        if cost.put_seconds > 0:
-            put_start = max(put_free, comp_done)
-            put_end = put_start + cost.put_seconds
-            put_free = put_end
-        else:
-            put_start = put_end = comp_done
-        get_free = get_done
-        comp_free = comp_done
-        comp_done_history.append(comp_done)
-        yield TileInterval(
-            index=i,
-            get_start=get_start,
-            get_end=get_done,
-            compute_start=comp_start,
-            compute_end=comp_done,
-            put_start=put_start,
-            put_end=put_end,
-        )
+    for index, window in enumerate(_tile_windows(costs)):
+        yield TileInterval(index, *window)
 
 
 def _pipeline_timeline(
@@ -193,7 +226,7 @@ def _pipeline_timeline(
 ) -> Tuple[float, float, float]:
     """Double-buffered timeline: returns (total, dma_busy, compute_busy).
 
-    Folds :func:`pipeline_intervals` down to totals.  The single memory
+    Folds :func:`_tile_windows` down to totals.  The single memory
     interface is enforced as a throughput bound: the whole layer can
     finish no faster than the serial sum of all transfer times.
     """
@@ -202,12 +235,13 @@ def _pipeline_timeline(
     end_get = end_put = end_comp = 0.0
     dma_busy = 0.0
     comp_busy = 0.0
-    for interval in pipeline_intervals(costs):
-        end_get = interval.get_end
-        end_comp = interval.compute_end
-        end_put = max(end_put, interval.put_end)
-        dma_busy += interval.get_seconds + interval.put_seconds
-        comp_busy += interval.compute_seconds
+    for get_start, end_get, comp_start, end_comp, put_start, put_end in _tile_windows(
+        costs
+    ):
+        if put_end > end_put:
+            end_put = put_end
+        dma_busy += (end_get - get_start) + (put_end - put_start)
+        comp_busy += end_comp - comp_start
     # Shared memory interface: gets and puts cannot truly run concurrently
     # at full bandwidth, so the interface's serial busy time lower-bounds
     # the layer.
@@ -265,6 +299,7 @@ class ConvolutionEngine:
     ):
         if backend not in BACKENDS:
             raise PlanError(f"unknown compute backend {backend!r}")
+        _check_timing_knobs(stride_efficiency, overlap_contention)
         self.plan = plan
         self.spec = spec or plan.spec
         self.backend = backend
@@ -387,9 +422,9 @@ class ConvolutionEngine:
     def _step_cost(self, step: TileStep) -> _StepCost:
         """Cost of one tile step, memoized on its transfer/flop signature.
 
-        Steady-state tiles repeat the same transfers thousands of times per
-        layer; pricing each distinct (gets, puts, flops) combination once
-        removes the dominant Python cost of a timed walk.
+        Steady-state tiles of the full schedule repeat the same transfers
+        thousands of times per layer; pricing each distinct (gets, puts,
+        flops) combination once keeps the functional walk's timing cheap.
         """
         key = (tuple(step.gets), tuple(step.puts), step.flops)
         cached = self._step_cost_cache.get(key)
@@ -445,31 +480,54 @@ class ConvolutionEngine:
             self.fused_pool,
         )
 
-    def evaluate(self) -> TimingReport:
-        """Timed walk of the schedule (no tensor data is touched).
+    def _priced_program(self) -> List[Tuple[Tuple[_StepCost, ...], int]]:
+        """The plan's tile program with each distinct step priced once.
 
-        Results are memoized process-wide on the plan signature and the
-        engine's timing knobs, so re-timing the same plan (chip strips,
-        sweeps, repeated training layers) costs a dictionary lookup.
+        Same ``(pattern, repeat)`` runs as :meth:`ConvPlan.tile_program`,
+        with every step replaced by its cost; :func:`expand_program`
+        unrolls it into the per-tile cost stream of the timed walk.
+        """
+        priced: Dict[int, _StepCost] = {}
+        runs = []
+        for pattern, count in self.plan.tile_program():
+            costs = []
+            for step in pattern:
+                cost = priced.get(id(step))
+                if cost is None:
+                    cost = priced[id(step)] = self._step_cost(step)
+                costs.append(cost)
+            runs.append((tuple(costs), count))
+        return runs
+
+    def evaluate(self) -> TimingReport:
+        """Timed walk of the tile program (no tensor data is touched).
+
+        Each distinct tile is priced once and only the double-buffered
+        recurrence runs per tile; integer totals (flops, bytes, tiles) are
+        multiplied by the runs' repeat counts.  Results are memoized
+        process-wide on the plan signature and the engine's timing knobs,
+        so re-timing the same plan (chip strips, sweeps, repeated training
+        layers) costs a dictionary lookup.
         """
         key = self._timing_key()
         cached = _TIMING_CACHE.get(key)
         if cached is not None:
             self._count_evaluation(cached, cache_hit=True)
             return replace(cached)
-        costs = []
+        priced = self._priced_program()
         flops = 0
         bytes_get = 0
         bytes_put = 0
         tiles = 0
-        for step in self.plan.compiled_schedule(coalesced=True):
-            cost = self._step_cost(step)
-            costs.append(cost)
-            flops += cost.flops
-            bytes_get += cost.bytes_get
-            bytes_put += cost.bytes_put
-            tiles += 1
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
+        for costs, count in priced:
+            for cost in costs:
+                flops += count * cost.flops
+                bytes_get += count * cost.bytes_get
+                bytes_put += count * cost.bytes_put
+            tiles += count * len(costs)
+        total, dma_busy, comp_busy = _pipeline_timeline(
+            expand_program(priced), self.overlap_contention
+        )
         expected = self.plan.params.flops()
         if flops != expected:
             raise SimulationError(
@@ -515,18 +573,15 @@ class ConvolutionEngine:
     def record_tile_spans(self, max_tiles: int = 64) -> int:
         """Record the first ``max_tiles`` tiles' intervals as sim spans.
 
-        Replays the schedule through :func:`pipeline_intervals` (the same
-        recurrence the timed evaluation folds down) and emits one span per
-        non-empty get/compute/put window on the simulated-timeline tracks.
-        Returns the number of tiles recorded.
+        Replays the tile program through :func:`pipeline_intervals` (the
+        same recurrence the timed evaluation folds down) and emits one span
+        per non-empty get/compute/put window on the simulated-timeline
+        tracks.  Returns the number of tiles recorded.
         """
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return 0
-        costs = (
-            self._step_cost(step)
-            for step in self.plan.compiled_schedule(coalesced=True)
-        )
+        costs = expand_program(self._priced_program())
         recorded = 0
         for interval in pipeline_intervals(costs):
             if interval.index >= max_tiles:
@@ -813,14 +868,13 @@ def evaluate_chip(
     persisted, and shared across every sweep configuration and resumed run
     that passes the same path.
     """
-    from repro.hw.chip import SW26010Chip
+    from repro.hw.chip import partition_rows
     from repro.core.planner import plan_convolution
     from repro.core.plans import make_plan
 
-    chip = SW26010Chip(spec)
     telemetry = telemetry if telemetry is not None else current_telemetry()
     n = num_groups if num_groups is not None else spec.num_core_groups
-    strips = chip.partition_rows(params.ro, n)
+    strips = partition_rows(params.ro, n)
     reports = []
     for cg, (start, stop) in enumerate(strips):
         rows = stop - start

@@ -33,6 +33,7 @@ from repro.core.conv import (
     BACKENDS,
     OVERLAP_CONTENTION,
     TimingReport,
+    _check_timing_knobs,
     _pipeline_timeline,
     _StepCost,
 )
@@ -198,6 +199,7 @@ class GemmEngine:
     ):
         if backend not in BACKENDS:
             raise PlanError(f"unknown GEMM backend {backend!r}; known: {BACKENDS}")
+        _check_timing_knobs(stride_efficiency, overlap_contention)
         self.plan = plan
         self.spec = plan.spec
         self.backend = backend

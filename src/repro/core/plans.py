@@ -1,17 +1,21 @@
 """Convolution plans: the loop schedules of Algorithms 1 and 2.
 
-A :class:`ConvPlan` turns layer parameters + blocking choices into a *tile
-schedule*: the exact sequence of DMA transfers and LDM-resident GEMM updates
-the CPE cluster performs.  The same schedule drives both execution modes of
+A :class:`ConvPlan` turns layer parameters + blocking choices into two
+renderings of one loop nest, which drive the two execution modes of
 :class:`repro.core.conv.ConvolutionEngine`:
 
-* the functional mode moves real tensor data tile by tile (so the result is
-  checked against the NumPy reference), and
-* the timed mode charges each transfer against the Table II DMA model and
-  each GEMM against the reordered-kernel pipeline timing, with double
-  buffering overlapping the two.
+* the *tile schedule* is the exact sequence of DMA transfers and
+  LDM-resident GEMM updates the CPE cluster performs; the functional mode
+  walks it and moves real tensor data tile by tile (so the result is
+  checked against the NumPy reference);
+* the *tile program* is the same walk with each tile's per-(kr, kc)
+  transfers merged per tensor, written run-length: an ordered tuple of
+  ``(pattern, repeat)`` runs over a handful of distinct, shared
+  :class:`TileStep` objects.  The timed mode prices each distinct step once
+  (Table II DMA model, reordered-kernel pipeline timing) and runs only the
+  double-buffered recurrence per tile.
 
-``dma_streams()`` aggregates the schedule's traffic into the per-stream
+``dma_streams()`` aggregates the program's traffic into the per-stream
 volumes/block-sizes the performance model blends into its ``MBW``, so the
 analytic model and the simulated execution see the same bytes by
 construction (a property the test suite checks).
@@ -21,7 +25,8 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common.errors import PlanError
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -97,6 +102,25 @@ class TileStep:
     flops: int = 0
 
 
+#: A tile program: ``(pattern, repeat)`` runs, each meaning "the tiles of
+#: ``pattern``, in order, ``repeat`` times over".  Patterns reference a few
+#: distinct steps that are shared across runs and never mutated.
+TileProgram = Tuple[Tuple[Tuple[TileStep, ...], int], ...]
+
+_T = TypeVar("_T")
+
+
+def expand_program(program: Iterable[Tuple[Tuple[_T, ...], int]]) -> Iterator[_T]:
+    """Unroll ``(pattern, repeat)`` runs into the per-tile sequence.
+
+    Works on a :data:`TileProgram` and on any run-length sequence of the
+    same shape (the engine's priced program of step costs).
+    """
+    return chain.from_iterable(
+        chain.from_iterable(repeat(pattern, count)) for pattern, count in program
+    )
+
+
 class ConvPlan(abc.ABC):
     """Base class of the two loop-schedule families."""
 
@@ -116,37 +140,45 @@ class ConvPlan(abc.ABC):
         self.spec = spec
         register_blocking.check_feasible(spec)
         self._streams_cache: Optional[List[DMAStream]] = None
-        self._schedule_cache: dict = {}
+        self._schedule: Optional[Tuple[TileStep, ...]] = None
 
     # -- schedule -------------------------------------------------------------
 
     @abc.abstractmethod
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
-        """Yield the plan's tile steps in execution order.
+    def tile_schedule(self) -> Iterator[TileStep]:
+        """Yield the plan's full tile steps in execution order.
 
-        ``coalesced=True`` merges each step's per-(kr, kc) transfers into
-        one aggregate transfer per tensor (identical bytes, identical block
-        sizes, so identical DMA time) and omits the per-update
-        :class:`ComputeSpec` list — the fast path the timed evaluation and
-        the traffic aggregation use.  The functional engine always walks
-        the full schedule.
+        Every step carries its per-(kr, kc, ni-block) transfers and the
+        :class:`ComputeSpec` list of GEMM updates — what the functional
+        engine needs to slice real tensors.
         """
 
-    def compiled_schedule(self, coalesced: bool = False) -> Tuple[TileStep, ...]:
-        """The tile schedule, materialized once and cached.
+    @abc.abstractmethod
+    def tile_program(self) -> TileProgram:
+        """The timed walk of the schedule, run-length encoded.
+
+        Each tile merges its per-(kr, kc) transfers into one aggregate
+        transfer per tensor (identical bytes, identical block sizes, so
+        identical DMA time) and carries no :class:`ComputeSpec`.  A plan
+        has at most five distinct such tiles, so the program is a few
+        ``(pattern, repeat)`` runs over shared steps; :func:`expand_program`
+        unrolls it tile by tile.  The timed evaluation and the traffic
+        aggregation read it.
+        """
+
+    def compiled_schedule(self) -> Tuple[TileStep, ...]:
+        """The full tile schedule, materialized once and cached.
 
         Generating a schedule walks the full blocked loop nest in Python;
-        for repeated executions of the same plan (training, sweeps, the
+        for repeated functional executions of the same plan (training, the
         handle's plan cache) that regeneration dominates, so the first call
         compiles the schedule to a tuple and later calls reuse it.  Callers
-        must treat the cached steps as immutable.
+        must treat the cached steps as immutable.  Timed walks never need
+        it: they read the (uncached, tiny) :meth:`tile_program`.
         """
-        key = bool(coalesced)
-        cached = self._schedule_cache.get(key)
-        if cached is None:
-            cached = tuple(self.tile_schedule(coalesced=key))
-            self._schedule_cache[key] = cached
-        return cached
+        if self._schedule is None:
+            self._schedule = tuple(self.tile_schedule())
+        return self._schedule
 
     def signature(self) -> Tuple:
         """Hashable identity of the schedule this plan generates.
@@ -177,22 +209,25 @@ class ConvPlan(abc.ABC):
     # -- traffic and modeling ---------------------------------------------------
 
     def dma_streams(self) -> List[DMAStream]:
-        """Aggregate the schedule's DMA traffic per (tensor, direction).
+        """Aggregate the program's DMA traffic per (tensor, direction).
 
         The block size reported per stream is the byte-weighted dominant
         block of that stream (steady-state tiles dominate edge tiles).
+        Each pattern's transfers count once per repeat; the totals are
+        exact integers, so the order of accumulation cannot matter.
         """
         if self._streams_cache is not None:
             return self._streams_cache
-        totals: dict = {}
-        for step in self.compiled_schedule(coalesced=True):
-            for tr in list(step.gets) + list(step.puts):
-                key = (tr.tensor, tr.direction)
-                bytes_so_far, weighted_block = totals.get(key, (0, 0.0))
-                totals[key] = (
-                    bytes_so_far + tr.nbytes,
-                    weighted_block + tr.nbytes * tr.block_bytes,
-                )
+        totals: Dict[Tuple[str, str], Tuple[int, int]] = {}
+        for pattern, count in self.tile_program():
+            for step in pattern:
+                for tr in step.gets + step.puts:
+                    key = (tr.tensor, tr.direction)
+                    bytes_so_far, weighted_block = totals.get(key, (0, 0))
+                    totals[key] = (
+                        bytes_so_far + count * tr.nbytes,
+                        weighted_block + count * tr.nbytes * tr.block_bytes,
+                    )
         streams = []
         for (tensor, direction), (nbytes, weighted) in sorted(totals.items()):
             if nbytes == 0:
@@ -278,90 +313,127 @@ class ImageSizeAwarePlan(ConvPlan):
             peak_flops=self.spec.peak_flops_per_cg,
         )
 
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
+    def _tile_streams(self, co_len: int) -> Tuple[int, int, int, int, int]:
+        """Per-tile stream shape of a ``co_len``-column block.
+
+        Returns ``(in_cols, in_block, in_count, flt_kc, flt_count)``: each
+        input transfer moves ``in_cols`` columns in ``in_block``-byte runs,
+        ``in_count`` times per ni-block; each filter transfer moves
+        ``flt_kc`` filter columns, ``flt_count`` times per ni-block.
+        """
+        p, blk = self.params, self.blocking
+        if blk.promote_input:
+            # One halo-widened input row per kr covers all kc.
+            in_cols = co_len + p.kc - 1
+            in_count = p.kr
+        else:
+            in_cols = co_len
+            in_count = p.kr * p.kc
+        if blk.promote_filter:
+            flt_kc, flt_count = p.kc, p.kr
+        else:
+            flt_kc, flt_count = 1, p.kr * p.kc
+        return in_cols, image_plan_block_bytes(in_cols), in_count, flt_kc, flt_count
+
+    def _output_put(self, bb_len: int, co_len: int) -> TileTransfer:
+        p = self.params
+        return TileTransfer(
+            "output",
+            bb_len * p.no * co_len * DS,
+            image_plan_block_bytes(co_len),
+            "put",
+        )
+
+    def tile_schedule(self) -> Iterator[TileStep]:
         p, blk = self.params, self.blocking
         flt_block = filter_block_bytes(p.no)
+        b_ni = blk.ni_block(p.ni)
+        ni_blocks = [(ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)]
         for bb in range(0, p.b, blk.b_b):
             bb_len = min(blk.b_b, p.b - bb)
             for ro in range(p.ro):
                 for co in range(0, p.co, blk.b_co):
                     co_len = min(blk.b_co, p.co - co)
-                    in_block = image_plan_block_bytes(co_len)
-                    step = TileStep()
-                    b_ni = blk.ni_block(p.ni)
-                    ni_blocks = [
-                        (ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)
-                    ]
-                    if blk.promote_input:
-                        # One halo-widened input row per kr covers all kc.
-                        in_cols = co_len + p.kc - 1
-                        in_halo_block = image_plan_block_bytes(in_cols)
-                        in_count = p.kr
-                    else:
-                        in_cols = co_len
-                        in_halo_block = in_block
-                        in_count = p.kr * p.kc
-                    flt_kc = p.kc if blk.promote_filter else 1
-                    flt_count = p.kr if blk.promote_filter else p.kr * p.kc
-                    if coalesced:
-                        step.gets.append(
-                            TileTransfer(
-                                "input",
-                                p.ni * bb_len * in_cols * DS * in_count,
-                                in_halo_block,
-                                "get",
-                            )
-                        )
-                        step.gets.append(
-                            TileTransfer(
-                                "filter",
-                                p.ni * p.no * flt_kc * DS * flt_count,
-                                flt_block,
-                                "get",
-                            )
-                        )
-                    else:
-                        for ni0, ni_len in ni_blocks:
-                            for _ in range(in_count):
-                                step.gets.append(
-                                    TileTransfer(
-                                        "input",
-                                        ni_len * bb_len * in_cols * DS,
-                                        in_halo_block,
-                                        "get",
-                                    )
-                                )
-                            for _ in range(flt_count):
-                                step.gets.append(
-                                    TileTransfer(
-                                        "filter",
-                                        ni_len * p.no * flt_kc * DS,
-                                        flt_block,
-                                        "get",
-                                    )
-                                )
-                            for kr in range(p.kr):
-                                for kc in range(p.kc):
-                                    step.computes.append(
-                                        ComputeSpec(
-                                            bb=bb,
-                                            bb_len=bb_len,
-                                            ro=ro,
-                                            co=co,
-                                            co_len=co_len,
-                                            kr=kr,
-                                            kc=kc,
-                                            ni0=ni0,
-                                            ni_len=ni_len,
-                                        )
-                                    )
-                    step.flops = 2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc
-                    step.puts.append(
-                        TileTransfer(
-                            "output", bb_len * p.no * co_len * DS, in_block, "put"
-                        )
+                    in_cols, in_block, in_count, flt_kc, flt_count = (
+                        self._tile_streams(co_len)
                     )
+                    step = TileStep()
+                    for ni0, ni_len in ni_blocks:
+                        in_bytes = ni_len * bb_len * in_cols * DS
+                        for _ in range(in_count):
+                            step.gets.append(
+                                TileTransfer("input", in_bytes, in_block, "get")
+                            )
+                        flt_bytes = ni_len * p.no * flt_kc * DS
+                        for _ in range(flt_count):
+                            step.gets.append(
+                                TileTransfer("filter", flt_bytes, flt_block, "get")
+                            )
+                        for kr in range(p.kr):
+                            for kc in range(p.kc):
+                                step.computes.append(
+                                    ComputeSpec(
+                                        bb=bb,
+                                        bb_len=bb_len,
+                                        ro=ro,
+                                        co=co,
+                                        co_len=co_len,
+                                        kr=kr,
+                                        kc=kc,
+                                        ni0=ni0,
+                                        ni_len=ni_len,
+                                    )
+                                )
+                    step.flops = 2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc
+                    step.puts.append(self._output_put(bb_len, co_len))
                     yield step
+
+    def tile_program(self) -> TileProgram:
+        """One row of column-block tiles per batch block, repeated ``Ro`` times.
+
+        Distinct tiles differ only in ``(bb_len, co_len)``: at most two
+        batch-block and two column-block lengths.
+        """
+        p, blk = self.params, self.blocking
+        flt_block = filter_block_bytes(p.no)
+        steps: Dict[Tuple[int, int], TileStep] = {}
+
+        def tile(bb_len: int, co_len: int) -> TileStep:
+            step = steps.get((bb_len, co_len))
+            if step is None:
+                in_cols, in_block, in_count, flt_kc, flt_count = (
+                    self._tile_streams(co_len)
+                )
+                step = steps[(bb_len, co_len)] = TileStep(
+                    gets=[
+                        TileTransfer(
+                            "input",
+                            p.ni * bb_len * in_cols * DS * in_count,
+                            in_block,
+                            "get",
+                        ),
+                        TileTransfer(
+                            "filter",
+                            p.ni * p.no * flt_kc * DS * flt_count,
+                            flt_block,
+                            "get",
+                        ),
+                    ],
+                    puts=[self._output_put(bb_len, co_len)],
+                    flops=2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc,
+                )
+            return step
+
+        return tuple(
+            (
+                tuple(
+                    tile(min(blk.b_b, p.b - bb), min(blk.b_co, p.co - co))
+                    for co in range(0, p.co, blk.b_co)
+                ),
+                p.ro,
+            )
+            for bb in range(0, p.b, blk.b_b)
+        )
 
 
 class BatchSizeAwarePlan(ConvPlan):
@@ -405,94 +477,126 @@ class BatchSizeAwarePlan(ConvPlan):
             peak_flops=self.spec.peak_flops_per_cg,
         )
 
-    def tile_schedule(self, coalesced: bool = False) -> Iterator[TileStep]:
+    def _filter_head(self) -> TileStep:
+        """The promoted filter load that opens each (row, kr) pass."""
+        p = self.params
+        return TileStep(
+            gets=[
+                TileTransfer(
+                    "filter", p.ni * p.no * p.kc * DS, filter_block_bytes(p.no), "get"
+                )
+            ]
+        )
+
+    def _output_tail(self, co_len: int) -> TileStep:
+        """The output store that closes each (column block, row)."""
+        p = self.params
+        return TileStep(
+            puts=[
+                TileTransfer(
+                    "output",
+                    co_len * p.b * p.no * DS,
+                    batch_plan_block_bytes(p.b),
+                    "put",
+                )
+            ]
+        )
+
+    def tile_schedule(self) -> Iterator[TileStep]:
         p, blk = self.params, self.blocking
         in_block = batch_plan_block_bytes(p.b)
         flt_block = filter_block_bytes(p.no)
+        b_ni = blk.ni_block(p.ni)
+        ni_blocks = [(ni0, min(b_ni, p.ni - ni0)) for ni0 in range(0, p.ni, b_ni)]
         for co_start in range(0, p.co, blk.b_co):
             co_len = min(blk.b_co, p.co - co_start)
             # Every block sees co_len + Kc - 1 input columns (Ci = Co+Kc-1
-            # guarantees no clipping) and exactly co_len * Kc (ci, kc)
-            # update pairs.
+            # guarantees no clipping).
             n_columns = co_len + p.kc - 1
-            n_updates = co_len * p.kc
             for ro in range(p.ro):
                 for kr in range(p.kr):
                     if blk.promote_filter:
-                        head = TileStep()
-                        head.gets.append(
-                            TileTransfer(
-                                "filter", p.ni * p.no * p.kc * DS, flt_block, "get"
-                            )
-                        )
-                        yield head
-                    if coalesced:
+                        yield self._filter_head()
+                    for ci in range(co_start, co_start + n_columns):
                         step = TileStep()
-                        step.gets.append(
-                            TileTransfer(
-                                "input", p.ni * p.b * n_columns * DS, in_block, "get"
-                            )
-                        )
-                        if not blk.promote_filter:
+                        for ni0, ni_len in ni_blocks:
                             step.gets.append(
                                 TileTransfer(
-                                    "filter",
-                                    p.ni * p.no * n_updates * DS,
-                                    flt_block,
-                                    "get",
+                                    "input", ni_len * p.b * DS, in_block, "get"
                                 )
                             )
-                        step.flops = 2 * p.b * p.no * p.ni * n_updates
-                        yield step
-                    else:
-                        b_ni = blk.ni_block(p.ni)
-                        ni_blocks = [
-                            (ni0, min(b_ni, p.ni - ni0))
-                            for ni0 in range(0, p.ni, b_ni)
-                        ]
-                        for ci in range(co_start, co_start + n_columns):
-                            step = TileStep()
-                            for ni0, ni_len in ni_blocks:
-                                step.gets.append(
-                                    TileTransfer(
-                                        "input", ni_len * p.b * DS, in_block, "get"
-                                    )
-                                )
-                                for kc in range(p.kc):
-                                    co = ci - kc
-                                    if co_start <= co < co_start + co_len:
-                                        if not blk.promote_filter:
-                                            step.gets.append(
-                                                TileTransfer(
-                                                    "filter",
-                                                    ni_len * p.no * DS,
-                                                    flt_block,
-                                                    "get",
-                                                )
-                                            )
-                                        step.computes.append(
-                                            ComputeSpec(
-                                                bb=0,
-                                                bb_len=p.b,
-                                                ro=ro,
-                                                co=co,
-                                                co_len=1,
-                                                kr=kr,
-                                                kc=kc,
-                                                ni0=ni0,
-                                                ni_len=ni_len,
+                            for kc in range(p.kc):
+                                co = ci - kc
+                                if co_start <= co < co_start + co_len:
+                                    if not blk.promote_filter:
+                                        step.gets.append(
+                                            TileTransfer(
+                                                "filter",
+                                                ni_len * p.no * DS,
+                                                flt_block,
+                                                "get",
                                             )
                                         )
-                                        step.flops += 2 * p.b * p.no * ni_len
-                            yield step
+                                    step.computes.append(
+                                        ComputeSpec(
+                                            bb=0,
+                                            bb_len=p.b,
+                                            ro=ro,
+                                            co=co,
+                                            co_len=1,
+                                            kr=kr,
+                                            kc=kc,
+                                            ni0=ni0,
+                                            ni_len=ni_len,
+                                        )
+                                    )
+                                    step.flops += 2 * p.b * p.no * ni_len
+                        yield step
                 # Output stored once per (column block, row).
-                tail = TileStep()
-                tail.puts.append(
+                yield self._output_tail(co_len)
+
+    def tile_program(self) -> TileProgram:
+        """Per column block, ``(filter head, column step) x Kr + (output
+        tail)``, repeated ``Ro`` times.
+
+        Each kr pass merges its ``co_len + Kc - 1`` input columns and
+        ``co_len * Kc`` (ci, kc) updates into one step.  Distinct tiles:
+        the shared filter head (promoted plans only) plus one step and one
+        tail per column-block length (at most two).
+        """
+        p, blk = self.params, self.blocking
+        head = (self._filter_head(),) if blk.promote_filter else ()
+        patterns: Dict[int, Tuple[TileStep, ...]] = {}
+        program = []
+        for co_start in range(0, p.co, blk.b_co):
+            co_len = min(blk.b_co, p.co - co_start)
+            pattern = patterns.get(co_len)
+            if pattern is None:
+                n_columns = co_len + p.kc - 1
+                n_updates = co_len * p.kc
+                gets = [
                     TileTransfer(
-                        "output", co_len * p.b * p.no * DS, in_block, "put"
+                        "input",
+                        p.ni * p.b * n_columns * DS,
+                        batch_plan_block_bytes(p.b),
+                        "get",
                     )
+                ]
+                if not blk.promote_filter:
+                    gets.append(
+                        TileTransfer(
+                            "filter",
+                            p.ni * p.no * n_updates * DS,
+                            filter_block_bytes(p.no),
+                            "get",
+                        )
+                    )
+                step = TileStep(gets=gets, flops=2 * p.b * p.no * p.ni * n_updates)
+                pattern = patterns[co_len] = (
+                    (head + (step,)) * p.kr + (self._output_tail(co_len),)
                 )
-                yield tail
+            program.append((pattern, p.ro))
+        return tuple(program)
 
 
 def make_plan(

@@ -94,15 +94,39 @@ class MemoryPartition:
             raise ValueError("partition sizes must be non-negative")
 
 
+def partition_rows(rows: int, num_groups: int) -> List[Tuple[int, int]]:
+    """Split ``rows`` output rows into ``num_groups`` [start, stop) strips.
+
+    The Section III-D split: rows are dealt as evenly as possible; a CG
+    may receive zero rows only when there are fewer rows than CGs.  A
+    plain function, so callers that only need the strips (chip timing,
+    plan-cache warming) never build a chip.
+    """
+    if num_groups < 1:
+        raise ValueError(f"need at least one core group, got {num_groups}")
+    if rows < 0:
+        raise ValueError(f"rows must be non-negative, got {rows}")
+    base, extra = divmod(rows, num_groups)
+    strips = []
+    start = 0
+    for i in range(num_groups):
+        size = base + (1 if i < extra else 0)
+        strips.append((start, start + size))
+        start += size
+    if start != rows:
+        raise SimulationError("row partition did not cover all rows")
+    return strips
+
+
 class SW26010Chip:
     """The full processor: four core groups joined by a NoC.
 
     The chip-level workload decomposition follows Section III-D: the output
     image rows are split evenly across the CGs, each CG running the same
-    single-CG plan on its strip.  ``partition_rows`` implements that split,
-    and :meth:`scaled_time` composes per-CG timings into a chip timing
-    (the slowest CG gates completion, which is what makes the paper's
-    near-linear scaling claim checkable).
+    single-CG plan on its strip.  :func:`partition_rows` implements that
+    split, and :meth:`scaled_time` composes per-CG timings into a chip
+    timing (the slowest CG gates completion, which is what makes the
+    paper's near-linear scaling claim checkable).
     """
 
     def __init__(self, spec: SW26010Spec = DEFAULT_SPEC, fault_plan=None):
@@ -132,24 +156,11 @@ class SW26010Chip:
     def partition_rows(self, rows: int, num_groups: Optional[int] = None) -> List[Tuple[int, int]]:
         """Split ``rows`` output rows into per-CG [start, stop) strips.
 
-        Rows are dealt as evenly as possible; a CG may receive zero rows only
-        when there are fewer rows than CGs.
+        :func:`partition_rows` over this chip's core groups (or
+        ``num_groups`` of them).
         """
         n = num_groups if num_groups is not None else len(self.core_groups)
-        if n < 1:
-            raise ValueError(f"need at least one core group, got {n}")
-        if rows < 0:
-            raise ValueError(f"rows must be non-negative, got {rows}")
-        base, extra = divmod(rows, n)
-        strips = []
-        start = 0
-        for i in range(n):
-            size = base + (1 if i < extra else 0)
-            strips.append((start, start + size))
-            start += size
-        if start != rows:
-            raise SimulationError("row partition did not cover all rows")
-        return strips
+        return partition_rows(rows, n)
 
     @staticmethod
     def scaled_time(per_group_seconds: List[float]) -> float:

@@ -6,10 +6,11 @@ this module replays the engine's timeline recurrence while recording the
 ASCII Gantt chart — the visual the Section IV-A double-buffering argument
 is usually drawn as.
 
-The recurrence itself lives in :func:`repro.core.conv.pipeline_intervals`
-— the same generator the timed evaluation folds down and the telemetry
-span exporter replays — so the Gantt chart, the timing report and the
-Chrome trace can never disagree about the schedule.
+The tiles are the plan's tile program, priced by the engine exactly as the
+timed evaluation prices them, and :func:`repro.core.conv.pipeline_intervals`
+wraps the same per-tile recurrence the timed evaluation folds down and the
+telemetry span exporter replays — so the Gantt chart, the timing report
+and the Chrome trace can never disagree about the schedule.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.core.conv import (
     TileInterval,
     pipeline_intervals,
 )
-from repro.core.plans import ConvPlan
+from repro.core.plans import ConvPlan, expand_program
 
 #: Kept as an alias: the interval record is shared with the engine now, but
 #: existing callers (benches, notebooks) import it under this name.
@@ -45,10 +46,7 @@ def trace_plan(
         if plan is None:
             raise ValueError("trace_plan needs a plan or an engine")
         engine = ConvolutionEngine(plan)
-    costs = (
-        engine._step_cost(step)
-        for step in engine.plan.compiled_schedule(coalesced=True)
-    )
+    costs = expand_program(engine._priced_program())
     traces: List[TileTrace] = []
     for interval in pipeline_intervals(costs):
         if interval.index >= max_tiles:

@@ -23,6 +23,7 @@ measured ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,6 +66,23 @@ class TunedPlan:
     cache_path: Optional[Path] = None
 
 
+@lru_cache(maxsize=256)
+def _oracle_mbw(block: int) -> float:
+    """Two-stream Table II MBW at one DMA block size (4:1 get:put bytes)."""
+    return blended_mbw(
+        [
+            DMAStream("get", 1.0, block, "get"),
+            DMAStream("put", 0.25, block, "put"),
+        ]
+    )
+
+
+@lru_cache(maxsize=64)
+def _oracle_rbw_reg(rb_b: int, rb_no: int, peak_flops: float) -> float:
+    """Eq. 5's LDM->REG bandwidth demand of one register shape."""
+    return rbw_ldm_reg_gemm_simd(rb_b, rb_no, peak_flops=peak_flops)
+
+
 def score_candidate(
     candidate: Candidate,
     params: ConvParams,
@@ -74,9 +92,12 @@ def score_candidate(
 
     Mirrors :meth:`~repro.core.plans.ConvPlan.estimate` without building a
     plan or compiling a schedule: RBW_mem comes from the family's Eq. 1/2
-    variant (promotion-aware), MBW_mem from a single-stream Table II read at
+    variant (promotion-aware), MBW_mem from a two-stream Table II read at
     the family's leading-dimension block size, and EE from the simulated
     dual-pipeline kernel at the candidate's register shape and ``bNi``.
+    The pure lookups (EE, MBW per block size, Eq. 5's RBW per register
+    shape) are memoized, so scoring thousands of candidates of one shape
+    interpolates each Table II point once.
 
     Lowered candidates (im2col, Winograd) are scored by their plan's own
     GEMM-roofline estimate — building a lowered plan is O(1), no schedule
@@ -112,21 +133,13 @@ def score_candidate(
                 p.kc, p.no, p.b, peak_flops=spec.peak_flops_per_cg
             )
         block = batch_plan_block_bytes(p.b)
-    mbw_mem = blended_mbw(
-        [
-            DMAStream("get", 1.0, block, "get"),
-            DMAStream("put", 0.25, block, "put"),
-        ]
-    )
     return PerformanceEstimate(
         plan=candidate.family,
         peak_flops=spec.peak_flops_per_cg,
         execution_efficiency=ee,
         rbw_mem=rbw_mem,
-        mbw_mem=mbw_mem,
-        rbw_reg=rbw_ldm_reg_gemm_simd(
-            rb.rb_b, rb.rb_no, peak_flops=spec.peak_flops_per_cpe
-        ),
+        mbw_mem=_oracle_mbw(block),
+        rbw_reg=_oracle_rbw_reg(rb.rb_b, rb.rb_no, spec.peak_flops_per_cpe),
         mbw_reg=spec.ldm_bandwidth,
     )
 
@@ -393,16 +406,15 @@ def warm_cache(
     strip, so warming tunes both every full shape and the per-CG strip
     shapes it will actually request — a warmed sweep never tunes inline.
     """
-    from repro.hw.chip import SW26010Chip
+    from repro.hw.chip import partition_rows
 
     plan_cache = _resolve_cache(cache)
-    chip = SW26010Chip(spec)
     n = num_groups if num_groups is not None else spec.num_core_groups
     wanted: List[ConvParams] = []
     for params in shapes:
         for candidate_shape in [params] + [
             params.with_rows(stop - start)
-            for start, stop in chip.partition_rows(params.ro, n)
+            for start, stop in partition_rows(params.ro, n)
             if stop > start
         ]:
             if candidate_shape not in wanted:

@@ -88,9 +88,9 @@ class TestTiming:
         w = rng.standard_normal(small_params.filter_shape)
         _, run_report = ConvolutionEngine(plan).run(x, w)
         eval_report = ConvolutionEngine(plan).evaluate()
-        # The functional walk uses the full schedule, timed walk the
-        # coalesced one; totals agree because byte/flop sums are identical
-        # and the coalescing merges only same-cycle-cost transfers.
+        # The functional walk uses the full schedule, the timed walk the
+        # tile program; totals agree because byte/flop sums are identical
+        # and the program merges only same-cycle-cost transfers.
         assert run_report.flops == eval_report.flops
         assert run_report.bytes_get == eval_report.bytes_get
         assert run_report.seconds == pytest.approx(eval_report.seconds, rel=0.1)

@@ -103,12 +103,13 @@ class TestAccounting:
             full = sum(
                 t.nbytes for s in plan.tile_schedule() for t in s.gets + s.puts
             )
-            coal = sum(
-                t.nbytes
-                for s in plan.tile_schedule(coalesced=True)
+            program = sum(
+                count * t.nbytes
+                for pattern, count in plan.tile_program()
+                for s in pattern
                 for t in s.gets + s.puts
             )
-            assert full == coal
+            assert full == program
 
     def test_deep_layer_evaluates(self, deep_params):
         choice = plan_convolution(deep_params)

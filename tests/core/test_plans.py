@@ -10,6 +10,7 @@ from repro.core.params import ConvParams
 from repro.core.plans import (
     BatchSizeAwarePlan,
     ImageSizeAwarePlan,
+    expand_program,
     make_plan,
 )
 
@@ -19,14 +20,19 @@ def params():
     return ConvParams(ni=16, no=16, ri=10, ci=10, kr=3, kc=3, b=16)
 
 
-def _total_flops(plan, coalesced):
-    return sum(step.flops for step in plan.tile_schedule(coalesced=coalesced))
+def _steps(plan, program):
+    """The unrolled tile program, or the full tile schedule."""
+    return expand_program(plan.tile_program()) if program else plan.tile_schedule()
 
 
-def _total_bytes(plan, coalesced):
+def _total_flops(plan, program):
+    return sum(step.flops for step in _steps(plan, program))
+
+
+def _total_bytes(plan, program):
     return sum(
         t.nbytes
-        for step in plan.tile_schedule(coalesced=coalesced)
+        for step in _steps(plan, program)
         for t in list(step.gets) + list(step.puts)
     )
 
@@ -64,9 +70,11 @@ class TestCoalescedConsistency:
             assert _total_bytes(plan, True) == _total_bytes(plan, False)
 
     def test_coalesced_has_no_computespecs(self, params):
-        plan = ImageSizeAwarePlan(params)
-        for step in plan.tile_schedule(coalesced=True):
-            assert step.computes == []
+        # The tile program's merged (coalesced) steps carry no GEMM updates.
+        for family in (ImageSizeAwarePlan, BatchSizeAwarePlan):
+            for pattern, _ in family(params).tile_program():
+                for step in pattern:
+                    assert step.computes == []
 
     def test_full_schedule_has_computespecs(self, params):
         plan = ImageSizeAwarePlan(params)

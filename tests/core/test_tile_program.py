@@ -1,0 +1,300 @@
+"""The run-length tile program against the coalesced schedule it replaces.
+
+``_reference_steps`` is the coalesced branch of the per-tile generators
+both plan families used before the program existed, kept as the
+reference: the program must unroll to exactly its steps, and the timed
+walk over the program must reproduce the per-tile fold of those steps bit
+for bit.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.conv import (
+    ConvolutionEngine,
+    TimingReport,
+    _pipeline_timeline,
+    _StepCost,
+    clear_timing_cache,
+    pipeline_intervals,
+)
+from repro.core.layout import (
+    DS,
+    batch_plan_block_bytes,
+    filter_block_bytes,
+    image_plan_block_bytes,
+)
+from repro.core.ldm_blocking import BatchBlocking, ImageBlocking
+from repro.core.params import ConvParams
+from repro.core.plans import (
+    BatchSizeAwarePlan,
+    ImageSizeAwarePlan,
+    TileStep,
+    TileTransfer,
+    expand_program,
+)
+from repro.perf.dma_model import DMAStream
+
+
+def _reference_image_steps(plan):
+    p, blk = plan.params, plan.blocking
+    flt_block = filter_block_bytes(p.no)
+    for bb in range(0, p.b, blk.b_b):
+        bb_len = min(blk.b_b, p.b - bb)
+        for ro in range(p.ro):
+            for co in range(0, p.co, blk.b_co):
+                co_len = min(blk.b_co, p.co - co)
+                in_block = image_plan_block_bytes(co_len)
+                step = TileStep()
+                if blk.promote_input:
+                    in_cols = co_len + p.kc - 1
+                    in_halo_block = image_plan_block_bytes(in_cols)
+                    in_count = p.kr
+                else:
+                    in_cols = co_len
+                    in_halo_block = in_block
+                    in_count = p.kr * p.kc
+                flt_kc = p.kc if blk.promote_filter else 1
+                flt_count = p.kr if blk.promote_filter else p.kr * p.kc
+                step.gets.append(
+                    TileTransfer(
+                        "input",
+                        p.ni * bb_len * in_cols * DS * in_count,
+                        in_halo_block,
+                        "get",
+                    )
+                )
+                step.gets.append(
+                    TileTransfer(
+                        "filter",
+                        p.ni * p.no * flt_kc * DS * flt_count,
+                        flt_block,
+                        "get",
+                    )
+                )
+                step.flops = 2 * bb_len * co_len * p.no * p.ni * p.kr * p.kc
+                step.puts.append(
+                    TileTransfer("output", bb_len * p.no * co_len * DS, in_block, "put")
+                )
+                yield step
+
+
+def _reference_batch_steps(plan):
+    p, blk = plan.params, plan.blocking
+    in_block = batch_plan_block_bytes(p.b)
+    flt_block = filter_block_bytes(p.no)
+    for co_start in range(0, p.co, blk.b_co):
+        co_len = min(blk.b_co, p.co - co_start)
+        n_columns = co_len + p.kc - 1
+        n_updates = co_len * p.kc
+        for ro in range(p.ro):
+            for kr in range(p.kr):
+                if blk.promote_filter:
+                    head = TileStep()
+                    head.gets.append(
+                        TileTransfer("filter", p.ni * p.no * p.kc * DS, flt_block, "get")
+                    )
+                    yield head
+                step = TileStep()
+                step.gets.append(
+                    TileTransfer("input", p.ni * p.b * n_columns * DS, in_block, "get")
+                )
+                if not blk.promote_filter:
+                    step.gets.append(
+                        TileTransfer(
+                            "filter", p.ni * p.no * n_updates * DS, flt_block, "get"
+                        )
+                    )
+                step.flops = 2 * p.b * p.no * p.ni * n_updates
+                yield step
+            tail = TileStep()
+            tail.puts.append(
+                TileTransfer("output", co_len * p.b * p.no * DS, in_block, "put")
+            )
+            yield tail
+
+
+def _reference_steps(plan):
+    if isinstance(plan, ImageSizeAwarePlan):
+        return list(_reference_image_steps(plan))
+    return list(_reference_batch_steps(plan))
+
+
+def _reference_streams(steps):
+    """The per-tile traffic aggregation ``dma_streams`` used to run."""
+    totals = {}
+    for step in steps:
+        for tr in list(step.gets) + list(step.puts):
+            key = (tr.tensor, tr.direction)
+            bytes_so_far, weighted_block = totals.get(key, (0, 0.0))
+            totals[key] = (
+                bytes_so_far + tr.nbytes,
+                weighted_block + tr.nbytes * tr.block_bytes,
+            )
+    return [
+        DMAStream(
+            name=f"{tensor}.{direction}",
+            bytes_moved=float(nbytes),
+            block_bytes=max(1, int(round(weighted / nbytes))),
+            direction=direction,
+        )
+        for (tensor, direction), (nbytes, weighted) in sorted(totals.items())
+        if nbytes
+    ]
+
+
+def _folded_report(engine, steps):
+    """Fold ``pipeline_intervals`` over per-step costs, one tile at a time."""
+    costs = [engine._step_cost(step) for step in steps]
+    end_get = end_put = end_comp = 0.0
+    dma_busy = comp_busy = 0.0
+    for interval in pipeline_intervals(costs):
+        end_get = interval.get_end
+        end_comp = interval.compute_end
+        end_put = max(end_put, interval.put_end)
+        dma_busy += interval.get_seconds + interval.put_seconds
+        comp_busy += interval.compute_seconds
+    total = max(end_get, end_put, end_comp, dma_busy)
+    total += engine.overlap_contention * max(0.0, dma_busy + comp_busy - total)
+    return TimingReport(
+        seconds=total,
+        flops=sum(c.flops for c in costs),
+        dma_seconds=dma_busy,
+        compute_seconds=comp_busy,
+        bytes_get=sum(c.bytes_get for c in costs),
+        bytes_put=sum(c.bytes_put for c in costs),
+        tiles=len(costs),
+        peak_flops=engine.spec.peak_flops_per_cg,
+    )
+
+
+@st.composite
+def plans(draw):
+    """Small plans of both families: promotion flags, bNi splits, edge blocks."""
+    params = ConvParams.from_output(
+        ni=draw(st.sampled_from([8, 12, 16, 24])),
+        no=draw(st.sampled_from([8, 16])),
+        ro=draw(st.integers(min_value=1, max_value=5)),
+        co=draw(st.integers(min_value=1, max_value=9)),
+        kr=draw(st.integers(min_value=1, max_value=3)),
+        kc=draw(st.integers(min_value=1, max_value=3)),
+        b=draw(st.integers(min_value=1, max_value=12)),
+    )
+    b_ni = draw(st.sampled_from([None, 4, 8, 16]))
+    b_co = draw(st.integers(min_value=1, max_value=params.co + 1))
+    if draw(st.booleans()):
+        blocking = ImageBlocking(
+            b_b=draw(st.integers(min_value=1, max_value=params.b + 1)),
+            b_co=b_co,
+            promote_input=draw(st.booleans()),
+            promote_filter=draw(st.booleans()),
+            b_ni=b_ni,
+        )
+        return ImageSizeAwarePlan(params, blocking=blocking)
+    blocking = BatchBlocking(b_co=b_co, promote_filter=draw(st.booleans()), b_ni=b_ni)
+    return BatchSizeAwarePlan(params, blocking=blocking)
+
+
+class TestProgramMatchesCoalescedSchedule:
+    @given(plans())
+    @settings(max_examples=120, deadline=None)
+    def test_program_property(self, plan):
+        reference = _reference_steps(plan)
+        assert list(expand_program(plan.tile_program())) == reference
+
+        clear_timing_cache()
+        engine = ConvolutionEngine(plan)
+        assert engine.evaluate() == _folded_report(engine, reference)
+
+        assert plan.dma_streams() == _reference_streams(reference)
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            # Edge batch block and edge column block (Algorithm 1).
+            ImageSizeAwarePlan(
+                ConvParams.from_output(ni=16, no=8, ro=3, co=7, kr=3, kc=3, b=10),
+                blocking=ImageBlocking(b_b=4, b_co=3, promote_filter=True, b_ni=8),
+            ),
+            # Promoted filter head and an edge column block (Algorithm 2).
+            BatchSizeAwarePlan(
+                ConvParams.from_output(ni=16, no=8, ro=3, co=7, kr=3, kc=3, b=8),
+                blocking=BatchBlocking(b_co=3, promote_filter=True),
+            ),
+        ],
+        ids=["image", "batch"],
+    )
+    def test_few_distinct_steps_shared(self, plan):
+        program = plan.tile_program()
+        distinct = {id(step) for pattern, _ in program for step in pattern}
+        assert len(distinct) <= 5
+        assert sum(count * len(pattern) for pattern, count in program) == len(
+            _reference_steps(plan)
+        )
+        # Equal tiles are the same object, so each is priced once.
+        steps = [step for pattern, _ in program for step in pattern]
+        for a in steps:
+            for b in steps:
+                assert (a == b) == (a is b)
+
+
+def _history_intervals(costs):
+    """Reference recurrence: reads buffer readiness from a list of compute ends."""
+    get_free = put_free = comp_free = 0.0
+    history = []
+    for i, cost in enumerate(costs):
+        buffer_ready = history[i - 2] if i >= 2 else 0.0
+        get_start = max(get_free, buffer_ready)
+        get_done = get_start + cost.get_seconds
+        comp_start = max(get_done, comp_free)
+        comp_done = comp_start + cost.compute_seconds
+        if cost.put_seconds > 0:
+            put_start = max(put_free, comp_done)
+            put_end = put_start + cost.put_seconds
+            put_free = put_end
+        else:
+            put_start = put_end = comp_done
+        get_free = get_done
+        comp_free = comp_done
+        history.append(comp_done)
+        yield (i, get_start, get_done, comp_start, comp_done, put_start, put_end)
+
+
+_seconds = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
+
+
+class TestSharedRecurrence:
+    @given(
+        st.lists(
+            st.tuples(_seconds, _seconds, st.one_of(st.just(0.0), _seconds)),
+            max_size=40,
+        ),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_history_recurrence(self, triples, contention):
+        costs = [_StepCost(g, c, p, 0, 0, 0) for g, c, p in triples]
+        reference = list(_history_intervals(costs))
+        intervals = [
+            (
+                t.index,
+                t.get_start,
+                t.get_end,
+                t.compute_start,
+                t.compute_end,
+                t.put_start,
+                t.put_end,
+            )
+            for t in pipeline_intervals(costs)
+        ]
+        assert intervals == reference
+
+        end_get = end_put = end_comp = dma = comp = 0.0
+        for _, gs, ge, cs, ce, ps, pe in reference:
+            end_get, end_comp = ge, ce
+            end_put = max(end_put, pe)
+            dma += (ge - gs) + (pe - ps)
+            comp += ce - cs
+        total = max(end_get, end_put, end_comp, dma)
+        total += contention * max(0.0, dma + comp - total)
+        assert _pipeline_timeline(costs, contention) == (total, dma, comp)

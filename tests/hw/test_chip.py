@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.hw.chip import CoreGroup, SW26010Chip
+from repro.hw import chip as chip_module
+from repro.hw.chip import CoreGroup, SW26010Chip, partition_rows
 from repro.hw.spec import DEFAULT_SPEC
 
 
@@ -75,3 +76,34 @@ class TestChip:
     def test_partition_fraction_validated(self):
         with pytest.raises(ValueError):
             SW26010Chip().set_partition(1.5)
+
+
+class TestPartitionRowsFunction:
+    @pytest.mark.parametrize("rows", [0, 2, 10, 37, 64])
+    @pytest.mark.parametrize("groups", [1, 2, 4, 7])
+    def test_matches_chip_method(self, rows, groups):
+        assert partition_rows(rows, groups) == SW26010Chip().partition_rows(
+            rows, num_groups=groups
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            partition_rows(-1, 4)
+        with pytest.raises(ValueError):
+            partition_rows(8, 0)
+
+    def test_callers_build_no_chip(self, monkeypatch, tmp_path):
+        """Chip timing and cache warming only need the strips."""
+        from repro.core.conv import evaluate_chip
+        from repro.core.params import ConvParams
+        from repro.tune import warm_cache
+
+        def no_chip(*args, **kwargs):
+            raise AssertionError("a whole chip was built to split rows")
+
+        monkeypatch.setattr(chip_module, "SW26010Chip", no_chip)
+        params = ConvParams.from_output(ni=8, no=8, ro=6, co=6, kr=3, kc=3, b=8)
+        _, reports = evaluate_chip(params)
+        assert len(reports) == 4
+        tuned = warm_cache([params], cache=tmp_path, top_k=1)
+        assert len(tuned) == 3  # the full shape plus the 2- and 1-row strips
