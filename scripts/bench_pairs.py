@@ -8,12 +8,15 @@ Exports ``REF`` with ``git archive`` into a temporary directory, then runs
 ``swbench/run.py --workload W --trace 0`` once on each side per pair: on a
 fresh random seed per pair (printed, so any pair can be re-run by hand),
 and in alternating order, so slow drifts of the host hit both sides
-alike.  This checkout's working tree is the change side.  It prints, for
-every end-to-end metric of ``BENCHMARK.json``, the median and quartiles
-per side and how many pairs the change won, and whether each pair's
+alike.  This checkout's working tree is the change side.  ``--workload
+all`` runs ``sweep``, ``serve`` and ``train`` in turn.  For each workload
+it prints, for every end-to-end metric of ``BENCHMARK.json``, the median
+and quartiles per side, how many pairs the change won, and the verdict of
+:func:`verdict` under the metric's ``bound``; and whether each pair's
 ``LEDGER`` lines (the deterministic simulated results) are identical.
 
-Exit status is 1 if a run fails or a pair's ledgers differ, else 0.
+Exit status is 1 if a run fails, a pair's ledgers differ or a metric's
+verdict is ``REGRESSION``, else 0.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER_PREFIX = "LEDGER "
+WORKLOADS = ("sweep", "serve", "train")
 
 
 def _export(ref: str, dest: Path) -> None:
@@ -79,10 +83,99 @@ def _quartiles(values: List[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
+def _beats(a: float, b: float, better: str) -> bool:
+    return a < b if better == "lower" else a > b
+
+
+def _wins(parent: List[float], change: List[float], better: str) -> int:
+    """Pairs the change won; ties count for neither side."""
+    return sum(_beats(c, p, better) for p, c in zip(parent, change))
+
+
+def verdict(parent: List[float], change: List[float], better: str, bound: float) -> str:
+    """The paired-run verdict on one end-to-end metric.
+
+    ``parent[i]`` and ``change[i]`` are the two sides of pair ``i``;
+    ``better`` is ``"lower"`` or ``"higher"``; ``bound`` is the relative
+    worsening ``BENCHMARK.json`` allows.  The first that holds, in order:
+
+    * ``gain``: the change wins at least 9/10 of the pairs (ties count for
+      neither), and its median beats the parent's by more than the
+      parent's interquartile range;
+    * ``unresolved``: the parent's interquartile range is wider than
+      ``bound`` times its median, and not every change run beats every
+      parent run, so the runs cannot show the change within the bound;
+    * ``no regression``: the change's median is worse than the parent's
+      by at most ``bound`` times the parent's median;
+    * ``REGRESSION``: anything else.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("verdict needs the same non-zero number of runs per side")
+    wins = _wins(parent, change, better)
+    p1, pm, p3 = _quartiles(parent)
+    cm = statistics.median(change)
+    gap = cm - pm if better == "higher" else pm - cm
+    if 10 * wins >= 9 * len(parent) and gap > p3 - p1:
+        return "gain"
+    worst_change = min(change) if better == "higher" else max(change)
+    best_parent = max(parent) if better == "higher" else min(parent)
+    if p3 - p1 > bound * abs(pm) and not _beats(worst_change, best_parent, better):
+        return "unresolved"
+    if -gap <= bound * abs(pm):
+        return "no regression"
+    return "REGRESSION"
+
+
+def _compare(
+    workload: str, parent_root: Path, metrics, pairs: int, seconds: float, parent: str
+) -> bool:
+    """Run the pairs of one workload and print its table; True if clean."""
+    samples: Dict[str, Dict[str, List[float]]] = {
+        name: {"parent": [], "change": []} for name, _, _ in metrics
+    }
+    sides = {"parent": parent_root, "change": ROOT}
+    identical = 0
+    print(f"{workload}: {pairs} pairs of {seconds:g} s, parent {parent} vs {ROOT}")
+    seeds = random.SystemRandom()
+    for i in range(pairs):
+        seed = seeds.randrange(1, 1_000_000)
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        runs = {side: _run(sides[side], workload, seed, seconds) for side in order}
+        same = runs["parent"][1] == runs["change"][1]
+        identical += same
+        cells = []
+        for name, _, _ in metrics:
+            old, new = runs["parent"][0][name], runs["change"][0][name]
+            samples[name]["parent"].append(old)
+            samples[name]["change"].append(new)
+            cells.append(f"{name} {old:.4g} -> {new:.4g}")
+        print(f"  pair {i + 1} seed {seed} ({order[0]} first): "
+              + "; ".join(cells)
+              + f"; LEDGER {'identical' if same else 'DIFFERS'}", flush=True)
+
+    print("metric (better)            parent median [q1, q3]        "
+          "change median [q1, q3]        change wins   verdict")
+    regression = False
+    for name, better, bound in metrics:
+        old, new = samples[name]["parent"], samples[name]["change"]
+        p1, pm, p3 = _quartiles(old)
+        c1, cm, c3 = _quartiles(new)
+        wins = _wins(old, new, better)
+        result = verdict(old, new, better, bound)
+        regression |= result == "REGRESSION"
+        print(f"  {name:<12} ({better:<6})  {pm:10.4g} [{p1:.4g}, {p3:.4g}]"
+              f"    {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
+              f"    {wins}/{pairs}"
+              + (f" (x{cm / pm:.3g})" if pm else "")
+              + f"   {result} (bound {bound:g})")
+    print(f"LEDGER lines identical in {identical}/{pairs} pairs", flush=True)
+    return identical == pairs and not regression
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True, choices=("sweep", "serve", "train"))
+    parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
@@ -90,50 +183,17 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    samples: Dict[str, Dict[str, List[float]]] = {
-        name: {"parent": [], "change": []} for name, _ in metrics
-    }
-    wins = {name: 0 for name, _ in metrics}
-    identical = 0
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    clean = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_root = Path(tmp)
         _export(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
-        print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
-              f"parent {args.parent} vs {ROOT}")
-        seeds = random.SystemRandom()
-        for i in range(args.pairs):
-            seed = seeds.randrange(1, 1_000_000)
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            runs = {
-                side: _run(sides[side], args.workload, seed, args.seconds)
-                for side in order
-            }
-            same = runs["parent"][1] == runs["change"][1]
-            identical += same
-            cells = []
-            for name, better in metrics:
-                old, new = runs["parent"][0][name], runs["change"][0][name]
-                samples[name]["parent"].append(old)
-                samples[name]["change"].append(new)
-                wins[name] += new < old if better == "lower" else new > old
-                cells.append(f"{name} {old:.4g} -> {new:.4g}")
-            print(f"  pair {i + 1} seed {seed} ({order[0]} first): "
-                  + "; ".join(cells)
-                  + f"; LEDGER {'identical' if same else 'DIFFERS'}", flush=True)
-
-    print("metric (better)            parent median [q1, q3]        "
-          "change median [q1, q3]        change wins")
-    for name, better in metrics:
-        p1, pm, p3 = _quartiles(samples[name]["parent"])
-        c1, cm, c3 = _quartiles(samples[name]["change"])
-        print(f"  {name:<12} ({better:<6})  {pm:10.4g} [{p1:.4g}, {p3:.4g}]"
-              f"    {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
-              f"    {wins[name]}/{args.pairs}"
-              + (f"  (x{cm / pm:.3g})" if pm else ""))
-    print(f"LEDGER lines identical in {identical}/{args.pairs} pairs")
-    return 0 if identical == args.pairs else 1
+        for workload in workloads:
+            clean &= _compare(
+                workload, parent_root, metrics, args.pairs, args.seconds, args.parent
+            )
+    return 0 if clean else 1
 
 
 if __name__ == "__main__":

@@ -5,8 +5,11 @@ Two concerns share one loop nest (see :mod:`repro.core.plans`):
 * **Functional**: each :class:`~repro.core.plans.ComputeSpec` of the full
   tile schedule is executed as a real GEMM update — with NumPy directly
   ("numpy" backend) or through the register-communication mesh schedule
-  ("mesh" backend) — so a plan's output is compared against
-  :func:`repro.core.reference.conv2d_reference`.
+  ("mesh" and "mesh-fast" backends) — so a plan's output is compared
+  against :func:`repro.core.reference.conv2d_reference`.  The mesh
+  backends hand each run of consecutive same-shape updates to the mesh as
+  one stack (up to :data:`MESH_STACK_BYTES` of operands) and add the
+  products to their output windows in schedule order.
 * **Timed**: each distinct tile of the plan's run-length tile program is
   priced once — its DMA transfers against the Table II bandwidth curve
   (with the calibrated stride derate), its GEMM against the reordered
@@ -93,10 +96,19 @@ class _StepCost:
 
 #: Functional compute backends, slowest-but-deepest first: "mesh" simulates
 #: the Fig. 3 bus protocol for every tile GEMM; "mesh-fast" verifies the
-#: protocol once per tile-GEMM signature and then runs the vectorized fast
-#: path (bit-identical results, identical statistics); "numpy" computes the
-#: updates directly without touching the mesh.
+#: protocol once per tile-GEMM signature and then runs stacks of same-shape
+#: tile GEMMs on the vectorized fast path (bit-identical results, identical
+#: statistics); "numpy" computes the updates directly, tile by tile, without
+#: touching the mesh.
 BACKENDS = ("numpy", "mesh", "mesh-fast")
+
+#: Operand bytes (W and D) of one stack of same-shape tile GEMMs that the
+#: mesh backends hand to :meth:`MeshGemm.multiply` in one call.  Tile GEMMs
+#: are tiny (a few KiB), so per-call Python overhead dominates unless many
+#: share a call; 256 KiB stacks a few dozen to a few hundred tiles while
+#: the stack, its products and the strategy's temporaries stay around a
+#: megabyte, so peak memory does not grow with the layer.
+MESH_STACK_BYTES = 256 * 1024
 
 #: Memoized timed plan walks: plan signature + timing knobs -> TimingReport.
 #: Repeated layers (training), repeated strips (chip evaluation) and sweep
@@ -738,6 +750,11 @@ class ConvolutionEngine:
         bytes_get = 0
         bytes_put = 0
         tiles = 0
+        # Mesh backends queue consecutive same-shape updates and multiply
+        # them as one stack (see _mesh_compute); the queue lives only for
+        # this run, so a run that raises leaves nothing behind.
+        pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        pending_bytes = 0
         for step in self.plan.compiled_schedule():
             for c in step.computes:
                 ni_len = c.ni_len if c.ni_len >= 0 else p.ni
@@ -767,14 +784,24 @@ class ConvolutionEngine:
                     w_slice = w[:, ni_slice, c.kr, c.kc]
                 if self.backend == "numpy":
                     target += np.einsum("on,bnc->boc", w_slice, window, optimize=True)
-                else:
-                    self._mesh_compute(w_slice, window, target)
+                    continue
+                pair_bytes = (w_slice.size + window.size) * window.itemsize
+                if pending and (
+                    window.shape != pending[0][1].shape
+                    or pending_bytes + pair_bytes > MESH_STACK_BYTES
+                ):
+                    self._mesh_compute(pending)
+                    pending_bytes = 0
+                pending.append((w_slice, window, target))
+                pending_bytes += pair_bytes
             cost = self._step_cost(step)
             costs.append(cost)
             flops += cost.flops
             bytes_get += cost.bytes_get
             bytes_put += cost.bytes_put
             tiles += 1
+        if pending:
+            self._mesh_compute(pending)
         # Fused epilogue: on hardware this runs per output tile while it is
         # still in LDM (before the DMA put), so it adds no memory traffic
         # and hides under P1; functionally it is elementwise, so applying
@@ -815,15 +842,33 @@ class ConvolutionEngine:
         return out, report
 
     def _mesh_compute(
-        self, w_slice: np.ndarray, window: np.ndarray, target: np.ndarray
+        self, pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> None:
-        """One GEMM update through the register-communication mesh."""
+        """A run of same-shape GEMM updates as one register-comm stack.
+
+        ``pending`` holds ``(w_slice, window, target)`` updates in schedule
+        order, every window of one shape.  They are multiplied as one stack
+        (each pair is still one Fig. 3 schedule, in the same order), and
+        the products are added to their output windows in schedule order,
+        so the output is bit-identical to updating tile by tile.  Empties
+        ``pending``.
+        """
         assert self._mesh_gemm is not None
-        bb_len, ni, co_len = window.shape
-        d = window.transpose(1, 0, 2).reshape(ni, bb_len * co_len)
-        product = self._mesh_gemm.multiply(w_slice, d)  # (No, bb_len*co_len)
-        no = product.shape[0]
-        target += product.reshape(no, bb_len, co_len).transpose(1, 0, 2)
+        bb_len, ni, co_len = pending[0][1].shape
+        w = np.stack([w_slice for w_slice, _, _ in pending])
+        # Stacking into a C-ordered buffer makes the reshape below a view
+        # (np.stack alone keeps the windows' transposed layout).
+        d = np.stack(
+            [window.transpose(1, 0, 2) for _, window, _ in pending],
+            out=np.empty((len(pending), ni, bb_len, co_len)),
+        )
+        products = self._mesh_gemm.multiply(
+            w, d.reshape(len(pending), ni, bb_len * co_len)
+        )  # (T, No, bb_len*co_len)
+        no = w.shape[1]
+        for (_, _, target), product in zip(pending, products):
+            target += product.reshape(no, bb_len, co_len).transpose(1, 0, 2)
+        pending.clear()
 
 
 def conv_forward(

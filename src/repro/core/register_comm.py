@@ -24,12 +24,19 @@ Two execution modes share that schedule:
   ``W @ D``).
 * ``mode="session"`` is the validated fast path: the *first* multiply of
   each (W shape, D shape) signature runs the full protocol simulation and
-  cross-checks candidate vectorized implementations against it — a single
-  contiguous ``w @ d`` GEMM first, then the per-step batched block GEMM
-  with the schedule's exact reduction order.  The fastest candidate that is
-  *bit-identical* to the simulation is certified for that signature; later
-  multiplies of the signature execute it directly, with the identical
-  bus/CPE statistics applied analytically.
+  cross-checks candidate vectorized implementations against it — one
+  contiguous ``w @ d`` GEMM, one ``(No x kb) @ (kb x M)`` GEMM per step
+  of the schedule, and the per-step batched block GEMM over contiguous
+  block copies.  The first candidate that is *bit-identical* to the
+  simulation is certified for that signature; later multiplies of the
+  signature execute it directly, with the identical bus/CPE statistics
+  applied analytically.
+
+:meth:`MeshGemm.multiply` also takes a *stack* of same-signature pairs,
+``(T, No, Ni)`` and ``(T, Ni, M)``: each pair is one Fig. 3 schedule, run
+in stack order.  On the fast path the certified strategy then runs once
+for the whole stack and the statistics of all ``T`` schedules are posted
+in one bulk update, which is what makes many tiny tile GEMMs cheap.
 """
 
 from __future__ import annotations
@@ -69,19 +76,24 @@ class MeshGemm:
     ``mode="session"`` verifies the protocol once per operand-shape
     signature and runs subsequent same-shape multiplies on the vectorized
     fast path (identical results, identical statistics, no per-tile LDM
-    staging or Python bus loops).
+    staging or Python bus loops).  Either mode multiplies a stack of
+    same-signature pairs in one call, pair by pair in stack order; the
+    fast path runs one certified strategy over the whole stack and charges
+    the stack's statistics once.
     """
 
     MODES = ("full", "session")
 
-    #: Fast-path candidates, fastest first.  "gemm" is one contiguous
-    #: ``w @ d`` (bit-identical to the schedule whenever BLAS reduces the
-    #: inner dimension in sequential order, e.g. single-block reductions);
-    #: "einsum" is a single-pass sum-of-products whose C kernel reduces k
-    #: sequentially, matching depth-1 block schedules; "blocked" replays
-    #: the schedule's exact k-major block accumulation and is the general
-    #: fallback.
-    STRATEGIES = ("gemm", "einsum", "blocked")
+    #: Fast-path candidates, fastest first; each multiplies a whole stack.
+    #: "gemm" is one contiguous ``w @ d`` per pair (bit-identical to the
+    #: schedule whenever BLAS reduces the inner dimension in sequential
+    #: order, e.g. single-block reductions); "slab" is one
+    #: ``(No x kb) @ (kb x M)`` GEMM per schedule step, accumulated k-major
+    #: like the CPEs do, and is exact by construction for depth-1 blocks
+    #: (kb = 1: one product per element and step); "blocked" replays the
+    #: schedule's per-CPE block products on contiguous block copies and is
+    #: the general fallback.
+    STRATEGIES = ("gemm", "slab", "blocked")
 
     def __init__(
         self,
@@ -104,9 +116,6 @@ class MeshGemm:
         self.mode = mode
         #: signature -> certified fast-path strategy name.
         self._verified: Dict[Tuple[Tuple[int, int], Tuple[int, int]], str] = {}
-        #: Reusable per-step product buffers, keyed by block-grid shape —
-        #: avoids allocator churn on the fast path's hot loop.
-        self._scratch: Dict[Tuple[int, int, int, int], np.ndarray] = {}
         #: Lazily created scratch mesh for certification probes.
         self._probe: Optional["MeshGemm"] = None
 
@@ -121,33 +130,57 @@ class MeshGemm:
         ``w`` is (No x Ni), ``d`` is (Ni x M); both dimensions must divide
         by the mesh size.  Returns the (No x M) product assembled from the
         per-CPE accumulators.
+
+        A stack of ``T`` pairs, ``w`` (T x No x Ni) and ``d`` (T x Ni x M),
+        returns the (T x No x M) stack of products, each bit-identical to
+        a single multiply of its pair, with the statistics of ``T`` single
+        multiplies; the pairs run in stack order.
         """
-        if w.ndim != 2 or d.ndim != 2:
-            raise PlanError("mesh GEMM operands must be 2-D")
-        if w.shape[1] != d.shape[0]:
+        if w.ndim != d.ndim or w.ndim not in (2, 3):
             raise PlanError(
-                f"inner dimensions disagree: {w.shape} @ {d.shape}"
+                "mesh GEMM operands must both be 2-D matrices or both be "
+                "3-D stacks of matrices"
             )
+        if w.shape[-1] != d.shape[-2] or w.shape[:-2] != d.shape[:-2]:
+            raise PlanError(
+                f"inner dimensions or stack sizes disagree: {w.shape} @ {d.shape}"
+            )
+        single = w.ndim == 2
         w = np.asarray(w, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
+        if single:
+            w, d = w[None], d[None]
+        if len(w) == 0:
+            raise PlanError("mesh GEMM stack is empty")
         n = self.mesh.size
         for matrix in (w, d):
-            rows, cols = matrix.shape
+            rows, cols = matrix.shape[1:]
             if rows % n != 0 or cols % n != 0:
                 raise PlanError(
                     f"matrix {rows}x{cols} not divisible into {n}x{n} blocks"
                 )
         if self.mode != "session":
-            return self._multiply_mesh(w, d)
-        signature = (w.shape, d.shape)
+            result = np.stack([self._multiply_mesh(wt, dt) for wt, dt in zip(w, d)])
+        else:
+            result = self._multiply_session(w, d)
+        return result[0] if single else result
+
+    def _multiply_session(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Session mode for a stack: certify on its first pair if needed."""
+        signature = (w.shape[1:], d.shape[1:])
         strategy = self._verified.get(signature)
         if strategy is not None:
             result = self._fast_multiply(w, d, strategy)
             self._account_fast_path(w, d)
             return result
-        verified = self._multiply_mesh(w, d)
-        self._verified[signature] = self._certify(signature, w, d, verified)
-        return verified
+        verified = self._multiply_mesh(w[0], d[0])
+        strategy = self._certify(signature, w[0], d[0], verified)
+        self._verified[signature] = strategy
+        if len(w) == 1:
+            return verified[None]
+        rest = self._fast_multiply(w[1:], d[1:], strategy)
+        self._account_fast_path(w[1:], d[1:])
+        return np.concatenate([verified[None], rest])
 
     def _certify(
         self,
@@ -175,8 +208,10 @@ class MeshGemm:
         probe_full = self._probe._multiply_mesh(pw, pd)
         for candidate in self.STRATEGIES:
             if np.array_equal(
-                probe_full, self._fast_multiply(pw, pd, candidate)
-            ) and np.array_equal(verified, self._fast_multiply(w, d, candidate)):
+                probe_full, self._fast_multiply(pw[None], pd[None], candidate)[0]
+            ) and np.array_equal(
+                verified, self._fast_multiply(w[None], d[None], candidate)[0]
+            ):
                 return candidate
         raise SimulationError(
             f"no fast-path strategy reproduces the bus-protocol "
@@ -184,13 +219,19 @@ class MeshGemm:
         )
 
     def _fast_multiply(self, w: np.ndarray, d: np.ndarray, strategy: str) -> np.ndarray:
-        """Execute one certified (or candidate) fast-path strategy."""
+        """Execute one certified (or candidate) strategy on a stack.
+
+        ``w`` is (T x No x Ni) and ``d`` is (T x Ni x M).  Operands are
+        normalized to contiguous layout first: the full schedule stages
+        contiguous block copies into LDM, and BLAS kernels pick different
+        (bitwise-diverging) code paths for strided views.
+        """
+        w = np.ascontiguousarray(w)
+        d = np.ascontiguousarray(d)
         if strategy == "gemm":
-            return np.ascontiguousarray(w) @ np.ascontiguousarray(d)
-        if strategy == "einsum":
-            return np.einsum(
-                "ik,km->im", np.ascontiguousarray(w), np.ascontiguousarray(d)
-            )
+            return w @ d
+        if strategy == "slab":
+            return self._slab_gemm(w, d)
         return self._block_gemm(w, d)
 
     # -- full protocol simulation ------------------------------------------
@@ -244,78 +285,90 @@ class MeshGemm:
 
     # -- vectorized fast path ----------------------------------------------
 
+    def _slab_gemm(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The schedule's steps as whole-stack slab GEMMs.
+
+        Step ``k`` of Fig. 3 adds ``W[i, k] @ D[k, j]`` to every CPE's
+        accumulator; over the whole output that is the slab product
+        ``W[:, k] @ D[k, :]``, (No x kb) @ (kb x M), added k-major into a
+        zeroed accumulator exactly as the CPEs add their blocks.  With
+        depth-1 blocks (kb = 1) each step is one product per element, so
+        the broadcast multiply is bit-identical to every block GEMM; deeper
+        slabs match when BLAS reduces kb terms the same way for both
+        shapes, which certification checks.
+        """
+        n = self.mesh.size
+        kb = w.shape[2] // n
+        acc = np.zeros((w.shape[0], w.shape[1], d.shape[2]))
+        step = np.empty_like(acc)
+        for k in range(n):
+            ks = slice(k * kb, (k + 1) * kb)
+            if kb == 1:
+                np.multiply(w[:, :, ks], d[:, ks, :], out=step)
+            else:
+                np.matmul(w[:, :, ks], d[:, ks, :], out=step)
+            acc += step
+        return acc
+
     def _block_gemm(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """All per-CPE block products of one schedule, as batched GEMMs.
+        """All per-CPE block products of a stack's schedules, as batched GEMMs.
 
         Step ``k`` of Fig. 3 multiplies, on every CPE (i, j), the same
         (br x kb) @ (kb x bc) block pair the broadcasts delivered; one
-        batched ``matmul`` per step performs those 64 products with the
-        same operand shapes and the same k-major accumulation order, so the
-        result is bit-identical to the simulated schedule.
-
-        Operands are normalized to contiguous layout first: the full
-        schedule stages contiguous block copies into LDM, and BLAS kernels
-        pick different (bitwise-diverging) code paths for strided views, so
-        layout normalization is what makes the two paths identical for the
-        transposed views the convolution lowering passes in.
+        batched ``matmul`` per step performs those products for every pair
+        of the stack with the same operand shapes and the same k-major
+        accumulation order, so the result is bit-identical to the
+        simulated schedule.  The W and D block grids are staged as
+        contiguous copies first, as the protocol stages them into LDM: a
+        one-row block taken as a strided view sends BLAS down a different
+        kernel than its contiguous copy does.
         """
-        w = np.ascontiguousarray(w)
-        d = np.ascontiguousarray(d)
         n = self.mesh.size
-        no, ni = w.shape
-        m = d.shape[1]
+        t, no, ni = w.shape
+        m = d.shape[2]
         br, kb, bc = no // n, ni // n, m // n
-        # (i, k, br, kb): W block owned by CPE(i, k).
-        w_blocks = w.reshape(n, br, n, kb).transpose(0, 2, 1, 3)
-        # (j, k, kb, bc): D block owned by CPE(k, j).
-        d_blocks = d.reshape(n, kb, n, bc).transpose(2, 0, 1, 3)
-        acc = np.zeros((n, n, br, bc))
-        step = self._scratch.get((n, n, br, bc))
-        if step is None:
-            step = np.empty((n, n, br, bc))
-            self._scratch[(n, n, br, bc)] = step
-        if kb == 1:
-            # Depth-1 blocks make each step a rank-1 outer product: one
-            # multiplication per output element, so the broadcast multiply
-            # is bit-identical to the (br, 1) @ (1, bc) matmul and avoids
-            # the slow tiny-core batched-matmul path.
-            for k in range(n):
-                np.multiply(w_blocks[:, None, k], d_blocks[None, :, k], out=step)
-                acc += step
-        else:
-            for k in range(n):
-                np.matmul(w_blocks[:, None, k], d_blocks[None, :, k], out=step)
-                acc += step
-        # The transpose/reshape may alias ``acc`` (a view); copy so callers
-        # own their result independent of later multiplies.
-        return np.ascontiguousarray(acc.transpose(0, 2, 1, 3).reshape(no, m))
+        # (t, k, i, br, kb): W block owned by CPE(i, k).
+        w_blocks = np.ascontiguousarray(
+            w.reshape(t, n, br, n, kb).transpose(0, 3, 1, 2, 4)
+        )
+        # (t, k, j, kb, bc): D block owned by CPE(k, j).
+        d_blocks = np.ascontiguousarray(
+            d.reshape(t, n, kb, n, bc).transpose(0, 1, 3, 2, 4)
+        )
+        acc = np.zeros((t, n, n, br, bc))
+        step = np.empty_like(acc)
+        for k in range(n):
+            np.matmul(w_blocks[:, k, :, None], d_blocks[:, k, None], out=step)
+            acc += step
+        return acc.transpose(0, 1, 3, 2, 4).reshape(t, no, m)
 
     def _account_fast_path(self, w: np.ndarray, d: np.ndarray) -> None:
-        """Apply the statistics the full schedule would have recorded.
+        """Apply the statistics the full schedules of a stack would record.
 
         Per multiply the Fig. 3 schedule performs, on each of the ``n``
         steps, one W-block broadcast per row bus and one D-block broadcast
         per column bus; every CPE sends its W block once (at step = its
         column) and its D block once (at step = its row), receives
         ``2 * (n - 1)`` foreign blocks, and accumulates ``n`` block
-        products.
+        products.  A stack of ``T`` multiplies charges ``T`` times that in
+        one update per bus and per CPE.
         """
         n = self.mesh.size
-        no, ni = w.shape
-        m = d.shape[1]
+        t, no, ni = w.shape
+        m = d.shape[2]
         br, kb, bc = no // n, ni // n, m // n
         w_block_bytes = br * kb * w.itemsize
         d_block_bytes = kb * bc * d.itemsize
         for bus in self.mesh.row_buses:
-            bus.account_bulk(w_block_bytes, receivers=n - 1, operations=n)
+            bus.account_bulk(w_block_bytes, receivers=n - 1, operations=n * t)
         for bus in self.mesh.col_buses:
-            bus.account_bulk(d_block_bytes, receivers=n - 1, operations=n)
+            bus.account_bulk(d_block_bytes, receivers=n - 1, operations=n * t)
         # Routed through count_fma (not a bare stats bump) so the telemetry
         # flop counter agrees bit-for-bit with the full protocol simulation.
-        fmas_per_cpe = br * bc * kb * n
+        fmas_per_cpe = br * bc * kb * n * t
         for cpe in self.mesh:
-            cpe.stats.bus_puts += 2
-            cpe.stats.bus_gets += 2 * (n - 1)
+            cpe.stats.bus_puts += 2 * t
+            cpe.stats.bus_gets += 2 * (n - 1) * t
             cpe.count_fma(fmas_per_cpe)
 
     # -- statistics ---------------------------------------------------------

@@ -41,18 +41,44 @@ def exact_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
     per-node partials.  A single-term "sum" is returned unchanged (exact),
     which is what makes the one-node cluster degenerate bit-for-bit into
     plain single-node SGD.
+
+    Two terms need no ``fsum`` pass: IEEE addition of two doubles already
+    rounds their exact sum correctly.  It differs from ``fsum`` only where
+    the sum is zero (``fsum`` returns ``+0.0`` for ``-0.0 + -0.0``) or not
+    finite (``fsum`` raises on overflow and on ``inf - inf``), so exactly
+    those entries are summed again with ``fsum``, in flat order.
     """
     if not arrays:
         raise PlanError("exact_sum needs at least one array")
     first = np.asarray(arrays[0], dtype=np.float64)
     if len(arrays) == 1:
         return first.copy()
+    if len(arrays) == 2:
+        return _exact_sum_pair(first, np.asarray(arrays[1], dtype=np.float64))
     stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays])
     flat = stacked.reshape(len(arrays), -1)
     out = np.empty(flat.shape[1], dtype=np.float64)
     for i in range(flat.shape[1]):
         out[i] = math.fsum(flat[:, i])
     return out.reshape(first.shape)
+
+
+def _exact_sum_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``fsum`` of two same-shaped arrays, elementwise (see :func:`exact_sum`)."""
+    if a.shape != b.shape:
+        raise ValueError(
+            f"all input arrays must have the same shape, got {a.shape} and {b.shape}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):  # fsum decides those
+        out = np.add(a, b, out=np.empty(a.shape))
+    flat = out.reshape(-1)
+    redo = np.flatnonzero((flat == 0.0) | ~np.isfinite(flat))
+    if redo.size:
+        flat_a = a.reshape(-1)
+        flat_b = b.reshape(-1)
+        for i in redo:
+            flat[i] = math.fsum((flat_a[i], flat_b[i]))
+    return out
 
 
 def reduce_micro_gradients(micro_grads: Sequence[LayerGrads]) -> LayerGrads:

@@ -1,0 +1,70 @@
+"""The paired-run verdict of ``scripts/bench_pairs.py`` on synthetic samples."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[2] / "scripts" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+#: A steady parent: median 100, interquartile range 2 (2% of the median).
+STEADY = [99.0, 100.0, 101.0, 98.0, 102.0, 100.0, 99.0, 101.0, 100.0, 100.0]
+#: A noisy parent: median 100, interquartile range 50 (50% of the median).
+NOISY = [50.0, 60.0, 70.0, 90.0, 100.0, 100.0, 110.0, 130.0, 140.0, 150.0]
+
+
+def _scaled(values, factor):
+    return [v * factor for v in values]
+
+
+class TestVerdict:
+    @pytest.mark.parametrize("better", ["higher", "lower"])
+    def test_gain(self, better):
+        factor = 3.0 if better == "higher" else 1 / 3
+        assert verdict(STEADY, _scaled(STEADY, factor), better, 0.25) == "gain"
+
+    def test_gain_needs_nine_of_ten_wins(self):
+        change = _scaled(STEADY, 1.5)
+        change[0] = change[1] = 1.0  # two lost pairs
+        assert verdict(STEADY, change, "higher", 0.25) == "no regression"
+        change[1] = 1e6  # one lost pair
+        assert verdict(STEADY, change, "higher", 0.25) == "gain"
+
+    def test_gain_needs_gap_beyond_parent_iqr(self):
+        # Every pair won, but by less than the parent's own spread.
+        change = [v + 0.5 for v in STEADY]
+        assert verdict(STEADY, change, "higher", 0.25) == "no regression"
+
+    def test_ties_count_for_neither(self):
+        assert verdict(STEADY, list(STEADY), "higher", 0.25) == "no regression"
+
+    @pytest.mark.parametrize("better", ["higher", "lower"])
+    def test_no_regression_within_bound(self, better):
+        factor = 0.8 if better == "higher" else 1.2
+        assert verdict(STEADY, _scaled(STEADY, factor), better, 0.25) == "no regression"
+
+    @pytest.mark.parametrize("better", ["higher", "lower"])
+    def test_regression_beyond_bound(self, better):
+        factor = 0.7 if better == "higher" else 1.3
+        assert verdict(STEADY, _scaled(STEADY, factor), better, 0.25) == "REGRESSION"
+
+    @pytest.mark.parametrize("factor", [0.7, 1.0, 1.1])
+    def test_spread_wider_than_bound_is_unresolved(self, factor):
+        assert verdict(NOISY, _scaled(NOISY, factor), "higher", 0.25) == "unresolved"
+
+    def test_wide_spread_resolved_when_every_change_run_is_better(self):
+        # Median 100.5, interquartile range 91: every change run beats every
+        # parent run, by less than that range, so no gain but resolved.
+        parent = [10.0] * 4 + [100.0] + [101.0] * 5
+        assert verdict(parent, [102.0] * 10, "higher", 0.25) == "no regression"
+        mirrored = [200.0 - v for v in parent]
+        assert verdict(mirrored, [98.0] * 10, "lower", 0.25) == "no regression"
+        assert verdict(parent, [100.5] * 10, "higher", 0.25) == "unresolved"
+
+    def test_unequal_sides_rejected(self):
+        with pytest.raises(ValueError):
+            verdict(STEADY, STEADY[:5], "higher", 0.25)

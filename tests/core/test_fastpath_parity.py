@@ -2,23 +2,29 @@
 
 The ``mesh-fast`` tier promises *bit-identical* results to the ``mesh``
 backend: session mode verifies the Fig. 3 bus protocol once per operand
-signature, then executes the same block schedule as batched NumPy GEMMs.
-These tests pin that contract — numerics, statistics accounting, and the
+signature, then executes the same block schedule as batched NumPy GEMMs,
+a whole stack of same-shape tile GEMMs per call.  These tests pin that
+contract — numerics, statistics accounting, stacking, and the
 ``reset_stats`` semantics between plan executions.
 """
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.common.errors import PlanError
+from repro.common.errors import LDMOverflowError, PlanError, SimulationError
 from repro.core.backward import BackwardConvolution
-from repro.core.conv import BACKENDS, ConvolutionEngine
+from repro.core.conv import BACKENDS, MESH_STACK_BYTES, ConvolutionEngine
+from repro.core.ldm_blocking import ImageBlocking
 from repro.core.params import ConvParams
 from repro.core.planner import plan_convolution
+from repro.core.plans import ImageSizeAwarePlan
 from repro.core.reference import conv2d_reference
 from repro.core.register_comm import MeshGemm
 from repro.hw.spec import DEFAULT_SPEC
+from repro.telemetry import Telemetry
 
 
 SMALL = DEFAULT_SPEC.shrunk(4)
@@ -26,6 +32,16 @@ SMALL = DEFAULT_SPEC.shrunk(4)
 
 def _pair(rng, shape_w, shape_d):
     return rng.standard_normal(shape_w), rng.standard_normal(shape_d)
+
+
+def _mesh_stats(gemm):
+    """Per-bus and per-CPE statistics of one MeshGemm."""
+    buses = [
+        (b.stats.packets, b.stats.bytes, b.stats.operations)
+        for b in gemm.mesh.row_buses + gemm.mesh.col_buses
+    ]
+    cpes = [(c.stats.bus_puts, c.stats.bus_gets, c.stats.flops) for c in gemm.mesh]
+    return buses, cpes
 
 
 class TestSessionMeshGemm:
@@ -68,21 +84,7 @@ class TestSessionMeshGemm:
         session.multiply(w, d)  # verify (runs the full protocol once)
         session.reset_stats()
         session.multiply(w, d)  # pure fast path
-
-        def bus_stats(g):
-            return [
-                (b.stats.packets, b.stats.bytes, b.stats.operations)
-                for b in g.mesh.row_buses + g.mesh.col_buses
-            ]
-
-        def cpe_stats(g):
-            return [
-                (c.stats.bus_puts, c.stats.bus_gets, c.stats.flops)
-                for c in g.mesh
-            ]
-
-        assert bus_stats(session) == bus_stats(full)
-        assert cpe_stats(session) == cpe_stats(full)
+        assert _mesh_stats(session) == _mesh_stats(full)
         assert session.bus_bytes() == full.bus_bytes()
 
     def test_reset_stats_clears_counters_keeps_signatures(self, rng):
@@ -109,6 +111,115 @@ class TestSessionMeshGemm:
         assert gemm.verified_signatures == 2
 
 
+def _mesh_counters(telemetry):
+    counters = telemetry.counters.as_dict()
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("mesh.bus_") or name == "cpe.flops"
+    }
+
+
+class TestStackedMultiply:
+    """``multiply`` on a (T, No, Ni) @ (T, Ni, M) stack == T single multiplies."""
+
+    @pytest.mark.parametrize("spec", [DEFAULT_SPEC, SMALL], ids=["8x8", "4x4"])
+    @given(
+        t=st.integers(min_value=1, max_value=70),
+        a=st.integers(min_value=1, max_value=3),
+        b=st.integers(min_value=1, max_value=3),
+        c=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=99),
+    )
+    @example(t=70, a=1, b=4, c=2, seed=0)  # one-row blocks, deep reduction
+    @example(t=33, a=2, b=1, c=3, seed=1)  # depth-1 blocks
+    @settings(max_examples=5, deadline=None)
+    def test_stack_equals_single_multiplies(self, spec, t, a, b, c, seed):
+        n = spec.mesh_size
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((t, n * a, n * b))
+        d = rng.standard_normal((t, n * b, n * c))
+        # Reference: T single multiplies, each the full bus protocol.
+        full_tel = Telemetry()
+        full = MeshGemm(spec=spec, mode="full", telemetry=full_tel)
+        reference = np.stack([full.multiply(wt, dt) for wt, dt in zip(w, d)])
+        singles = {"full": (reference, _mesh_stats(full), _mesh_counters(full_tel))}
+        tel = Telemetry()
+        session = MeshGemm(spec=spec, mode="session", telemetry=tel)
+        singles["session"] = (
+            np.stack([session.multiply(wt, dt) for wt, dt in zip(w, d)]),
+            _mesh_stats(session),
+            _mesh_counters(tel),
+        )
+        for mode, (single_out, single_stats, single_counters) in singles.items():
+            tel = Telemetry()
+            stacked = MeshGemm(spec=spec, mode=mode, telemetry=tel)
+            out = stacked.multiply(w, d)
+            assert out.shape == (t, n * a, n * c)
+            assert np.array_equal(out, single_out), mode
+            assert np.array_equal(out, reference), mode
+            assert _mesh_stats(stacked) == single_stats, mode
+            assert _mesh_counters(tel) == single_counters, mode
+            assert single_counters["cpe.flops"] == 2 * t * n**3 * a * b * c
+
+    def test_stack_certifies_on_its_first_pair(self, rng):
+        gemm = MeshGemm(spec=SMALL, mode="session")
+        w = rng.standard_normal((5, 8, 12))
+        d = rng.standard_normal((5, 12, 16))
+        first = gemm.multiply(w, d)  # certifies on the first pair
+        assert gemm.verified_signatures == 1
+        assert np.array_equal(gemm.multiply(w, d), first)
+        assert gemm.verified_signatures == 1
+
+    def test_two_d_operands_are_a_stack_of_one(self, rng):
+        gemm = MeshGemm(spec=SMALL, mode="session")
+        w, d = _pair(rng, (8, 12), (12, 16))
+        single = gemm.multiply(w, d)
+        assert single.shape == (8, 16)
+        assert np.array_equal(gemm.multiply(w[None], d[None])[0], single)
+
+    @pytest.mark.parametrize(
+        "shape_w, shape_d",
+        [((3, 8, 8), (2, 8, 8)), ((0, 8, 8), (0, 8, 8)), ((2, 8, 8), (8, 8))],
+        ids=["stack-sizes-differ", "empty-stack", "mixed-ndim"],
+    )
+    def test_bad_stacks_rejected(self, shape_w, shape_d):
+        gemm = MeshGemm(spec=SMALL, mode="session")
+        with pytest.raises(PlanError):
+            gemm.multiply(np.ones(shape_w), np.ones(shape_d))
+
+
+class TestCertification:
+    #: The signature grid of the session-mode regression: No x Ni x M.
+    GRID = list(itertools.product([8, 16, 32, 64], [8, 16, 24, 32, 64, 128],
+                                  [8, 16, 64, 128]))
+
+    def test_one_row_blocks_certify(self, rng):
+        # No = 8 on the 8x8 mesh gives one-row W blocks; with Ni >= 32 and
+        # M <= 16 only contiguous block copies, as the protocol stages
+        # them, take the same BLAS kernel as the protocol.
+        w, d = _pair(rng, (8, 32), (32, 16))
+        session = MeshGemm(mode="session")
+        first = session.multiply(w, d)
+        assert np.array_equal(first, MeshGemm(mode="full").multiply(w, d))
+        assert np.array_equal(session.multiply(w, d), first)
+
+    @pytest.mark.parametrize("size", [8, 4, 2])
+    def test_every_divisible_signature_certifies(self, size):
+        spec = DEFAULT_SPEC if size == 8 else DEFAULT_SPEC.shrunk(size)
+        gemm = MeshGemm(spec=spec, mode="session")
+        rng = np.random.default_rng(size)
+        for no, ni, m in self.GRID:
+            w, d = _pair(rng, (no, ni), (ni, m))
+            try:
+                gemm.multiply(w, d)
+            except LDMOverflowError:
+                continue  # the blocks do not fit one CPE's LDM
+            except SimulationError as err:
+                pytest.fail(f"{size}x{size} mesh, signature {(no, ni, m)}: {err}")
+            assert gemm._verified[((no, ni), (ni, m))] in MeshGemm.STRATEGIES
+
+
 #: Mesh-divisible layer shapes for the engine-level parity property.
 PARITY_CONFIGS = [
     ConvParams(ni=8, no=8, ri=10, ci=10, kr=3, kc=3, b=8),
@@ -116,6 +227,8 @@ PARITY_CONFIGS = [
     ConvParams(ni=8, no=16, ri=6, ci=6, kr=1, kc=1, b=16),
     ConvParams(ni=16, no=16, ri=10, ci=10, kr=5, kc=5, b=8),
     ConvParams(ni=8, no=8, ri=12, ci=8, kr=3, kc=1, b=8),
+    # One-row W blocks (No = 8) with a deep reduction (Ni = 32).
+    ConvParams(ni=32, no=8, ri=6, ci=6, kr=3, kc=3, b=8),
 ]
 
 
@@ -206,6 +319,124 @@ class TestCounterParity:
         for name in ("engine.bytes_get", "engine.bytes_put", "engine.flops",
                      "engine.tiles", "engine.runs"):
             assert mesh_counters.get(name) == fast_counters.get(name), name
+
+
+def _stack_sizes(engine, monkeypatch):
+    """Record the stack size of every multiply ``engine`` issues."""
+    gemm = engine._mesh_gemm
+    real = gemm.multiply
+    sizes = []
+
+    def recorded(w, d):
+        sizes.append(len(w))
+        return real(w, d)
+
+    monkeypatch.setattr(gemm, "multiply", recorded)
+    return sizes
+
+
+def _tile_by_tile(plan, x, w):
+    """The mesh update loop with one full-protocol multiply per tile GEMM."""
+    p = plan.params
+    gemm = MeshGemm(mode="full")
+    out = np.zeros(p.output_shape)
+    for step in plan.compiled_schedule():
+        for c in step.computes:
+            ni = slice(c.ni0, c.ni0 + (c.ni_len if c.ni_len >= 0 else p.ni))
+            window = x[c.bb : c.bb + c.bb_len, ni, c.ro + c.kr,
+                       c.co + c.kc : c.co + c.kc + c.co_len]
+            d = window.transpose(1, 0, 2).reshape(window.shape[1], -1)
+            product = gemm.multiply(w[:, ni, c.kr, c.kc], d)
+            out[c.bb : c.bb + c.bb_len, :, c.ro, c.co : c.co + c.co_len] += (
+                product.reshape(p.no, c.bb_len, c.co_len).transpose(1, 0, 2)
+            )
+    return out
+
+
+class TestStackedEngineRuns:
+    """Engine runs that stack tile GEMMs stay bit-identical to ``mesh``."""
+
+    #: Edge blocks on batch (24 % 16) and columns (10 % 4), and a blocked
+    #: Ni (16 + 8): the schedule alternates between eight tile shapes.
+    MIXED = ImageSizeAwarePlan(
+        ConvParams(ni=24, no=8, ri=3, ci=12, kr=3, kc=3, b=24),
+        blocking=ImageBlocking(b_b=16, b_co=4, b_ni=16),
+    )
+
+    def _runs(self, plan, x, w, monkeypatch=None):
+        results = {}
+        for backend in ("mesh", "mesh-fast"):
+            telemetry = Telemetry()
+            engine = ConvolutionEngine(plan, backend=backend, telemetry=telemetry)
+            sizes = _stack_sizes(engine, monkeypatch) if monkeypatch else None
+            y, report = engine.run(x, w)
+            results[backend] = (y, report, telemetry.counters.as_dict(), sizes)
+        return results
+
+    def _assert_parity(self, results):
+        y_mesh, report_mesh, counters_mesh, _ = results["mesh"]
+        y_fast, report_fast, counters_fast, _ = results["mesh-fast"]
+        assert np.array_equal(y_mesh, y_fast)
+        assert report_mesh == report_fast
+        assert counters_mesh == counters_fast
+        assert counters_fast["cpe.flops"] > 0
+
+    def test_mixed_signatures(self, rng, monkeypatch):
+        p = self.MIXED.params
+        shapes = {
+            (c.bb_len, c.ni_len, c.co_len)
+            for step in self.MIXED.compiled_schedule()
+            for c in step.computes
+        }
+        assert len(shapes) == 8
+        x = rng.standard_normal(p.input_shape)
+        w = rng.standard_normal(p.filter_shape)
+        results = self._runs(self.MIXED, x, w, monkeypatch)
+        self._assert_parity(results)
+        sizes = results["mesh-fast"][3]
+        assert sum(sizes) == sum(
+            len(step.computes) for step in self.MIXED.compiled_schedule()
+        )
+        assert max(sizes) > 1 and len(sizes) > len(shapes)
+        # Products land on their output windows in schedule order.
+        assert np.array_equal(results["mesh"][0], _tile_by_tile(self.MIXED, x, w))
+
+    def test_tiles_over_the_byte_budget_run_alone(self, rng, monkeypatch):
+        params = ConvParams(ni=128, no=64, ri=3, ci=18, kr=3, kc=3, b=16)
+        plan = ImageSizeAwarePlan(params, blocking=ImageBlocking(b_b=16, b_co=16))
+        m = 16 * 16
+        assert (params.no * params.ni + params.ni * m) * 8 > MESH_STACK_BYTES
+        x = rng.standard_normal(params.input_shape)
+        w = rng.standard_normal(params.filter_shape)
+        results = self._runs(plan, x, w, monkeypatch)
+        self._assert_parity(results)
+        assert results["mesh-fast"][3] == [1] * (params.kr * params.kc)
+
+    def test_failed_run_leaves_no_queued_tiles(self, rng, monkeypatch):
+        p = self.MIXED.params
+        x = rng.standard_normal(p.input_shape)
+        w = rng.standard_normal(p.filter_shape)
+        engine = ConvolutionEngine(self.MIXED, backend="mesh-fast")
+        gemm = engine._mesh_gemm
+        real = gemm.multiply
+        calls = []
+
+        def failing(a, b):
+            calls.append(len(a))
+            if len(calls) == 3:
+                raise SimulationError("injected mid-schedule failure")
+            return real(a, b)
+
+        monkeypatch.setattr(gemm, "multiply", failing)
+        with pytest.raises(SimulationError, match="injected"):
+            engine.run(x, w)
+        monkeypatch.undo()
+        y, report = engine.run(x, w)
+        fresh = ConvolutionEngine(self.MIXED, backend="mesh-fast")
+        y_fresh, report_fresh = fresh.run(x, w)
+        assert np.array_equal(y, y_fresh)
+        assert report == report_fresh
+        assert _mesh_stats(gemm) == _mesh_stats(fresh._mesh_gemm)
 
 
 class TestBackwardParity:

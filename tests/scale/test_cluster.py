@@ -1,5 +1,6 @@
 """Executed multi-node data-parallel training: parity, buckets, chaos."""
 
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,80 @@ class TestExactSum:
     def test_empty_rejected(self):
         with pytest.raises(PlanError):
             exact_sum([])
+
+
+def _fsum_loop(arrays):
+    """The per-element ``math.fsum`` reduction: the reference for two terms."""
+    stacked = np.stack([np.asarray(a, dtype=np.float64) for a in arrays])
+    flat = stacked.reshape(len(arrays), -1)
+    out = np.empty(flat.shape[1], dtype=np.float64)
+    for i in range(flat.shape[1]):
+        out[i] = math.fsum(flat[:, i])
+    return out.reshape(stacked.shape[1:])
+
+
+#: Values at the edges of float64: signed zeros, the smallest subnormal and
+#: normal magnitudes, values whose sums overflow, infinities and NaN.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -2.2250738585072014e-308, 1.1125369292536007e-308, 0.1, -0.1, 1.0, -1.0,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _outcome(fn, arrays):
+    """Result bytes, or the exception type and message."""
+    try:
+        return fn(arrays).tobytes()
+    except (OverflowError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestExactSumOfTwo:
+    """Two partials (the two-node exchange) skip the per-element fsum loop."""
+
+    def test_random_pairs_match_fsum_loop(self, rng):
+        scale = 10.0 ** rng.integers(-300, 300, size=(2, 100_000))
+        a, b = rng.standard_normal((2, 100_000)) * scale
+        assert exact_sum([a, b]).tobytes() == _fsum_loop([a, b]).tobytes()
+        shaped = [a.reshape(100, 1000), b.reshape(100, 1000)]
+        assert exact_sum(shaped).tobytes() == _fsum_loop(shaped).tobytes()
+
+    def test_subnormal_pairs_match_fsum_loop(self, rng):
+        a = rng.integers(-2**20, 2**20, size=10_000) * 5e-324
+        b = rng.integers(-2**20, 2**20, size=10_000) * 5e-324
+        for pair in ([a, b], [a, -a], [-a, -a]):
+            assert exact_sum(pair).tobytes() == _fsum_loop(pair).tobytes()
+
+    def test_every_pair_of_edge_values(self):
+        for x, y in itertools.product(EDGE_VALUES, repeat=2):
+            pair = [np.array([x]), np.array([y])]
+            assert _outcome(exact_sum, pair) == _outcome(_fsum_loop, pair), (x, y)
+        assert len(EDGE_VALUES) ** 2 == 324
+
+    def test_edge_values_as_arrays(self):
+        a = np.repeat(EDGE_VALUES, len(EDGE_VALUES))
+        b = np.tile(EDGE_VALUES, len(EDGE_VALUES))
+        # The first entry fsum rejects decides the error, as in the loop.
+        assert _outcome(exact_sum, [a, b]) == _outcome(_fsum_loop, [a, b])
+        small = (np.abs(a) < 1e308) & (np.abs(b) < 1e308)  # NaN fails too
+        pair = [a[small], b[small]]
+        assert exact_sum(pair).tobytes() == _fsum_loop(pair).tobytes()
+
+    def test_negative_zero_sum_is_positive_zero(self):
+        out = exact_sum([np.array([-0.0]), np.array([-0.0])])
+        assert out.tobytes() == np.array([math.fsum([-0.0, -0.0])]).tobytes()
+
+    def test_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            exact_sum([np.array([1e308, 1.0]), np.array([1e308, 2.0])])
+        with pytest.raises(ValueError):
+            exact_sum([np.array([math.inf]), np.array([-math.inf])])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            exact_sum([np.zeros(3), np.zeros(4)])
 
 
 class TestReduceMicroGradients:
