@@ -1,18 +1,17 @@
 #!/usr/bin/env sh
-# Repo verification: tier-1 suite + seeded fault-sweep smoke test.
+# Repo verification: tier-1 suite, then CLI smokes and schema gates.
 #
-# Both stages run under a hard coreutils timeout(1) so a wedged sweep (a
+# Every stage runs under a hard coreutils timeout(1) so a wedged run (a
 # hung worker, a deadlocked pool) fails loudly instead of hanging CI.
-# Exit code is non-zero if either stage fails or times out.
+# Exit code is non-zero if any stage fails or times out.  The tier-1 stage
+# runs all of tests/, so no stage re-runs a marker subset of it (the
+# Makefile's faults/tune/zoo/serve/scale targets select those).
 set -eu
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH="${PYTHONPATH:-src}"
 
 TIER1_TIMEOUT="${TIER1_TIMEOUT:-1200}"
-FAULTS_TIMEOUT="${FAULTS_TIMEOUT:-300}"
-TUNE_TIMEOUT="${TUNE_TIMEOUT:-120}"
-ZOO_TIMEOUT="${ZOO_TIMEOUT:-300}"
 PROFILE_TIMEOUT="${PROFILE_TIMEOUT:-120}"
 SERVE_TIMEOUT="${SERVE_TIMEOUT:-180}"
 FLEET_TIMEOUT="${FLEET_TIMEOUT:-180}"
@@ -25,15 +24,6 @@ BENCH_SMOKE_TIMEOUT="${BENCH_SMOKE_TIMEOUT:-300}"
 echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout "${TIER1_TIMEOUT}" python -m pytest -x -q
 
-echo "== seeded fault-sweep smoke test (timeout ${FAULTS_TIMEOUT}s) =="
-timeout "${FAULTS_TIMEOUT}" python -m pytest -x -q -m faults tests/faults
-
-echo "== autotuner smoke test (timeout ${TUNE_TIMEOUT}s) =="
-timeout "${TUNE_TIMEOUT}" python -m pytest -x -q -m tune tests/tune
-
-echo "== conv algorithm zoo smoke test (timeout ${ZOO_TIMEOUT}s) =="
-timeout "${ZOO_TIMEOUT}" python -m pytest -x -q -m zoo tests/tune
-
 echo "== telemetry profile smoke test (timeout ${PROFILE_TIMEOUT}s) =="
 PROFILE_TRACE="$(mktemp /tmp/repro-profile-XXXXXX.json)"
 CHAOS_REPORT=""
@@ -44,8 +34,7 @@ timeout "${PROFILE_TIMEOUT}" python -m repro profile \
     --trace-out "${PROFILE_TRACE}"
 timeout "${PROFILE_TIMEOUT}" python -m repro.telemetry.validate "${PROFILE_TRACE}"
 
-echo "== serve suite + smoke (timeout ${SERVE_TIMEOUT}s) =="
-timeout "${SERVE_TIMEOUT}" python -m pytest -x -q -m serve tests/serve
+echo "== serve smoke (timeout ${SERVE_TIMEOUT}s) =="
 timeout "${SERVE_TIMEOUT}" python -m repro serve --smoke
 
 echo "== multi-chip fleet smoke + schema gate (timeout ${FLEET_TIMEOUT}s) =="
@@ -80,7 +69,6 @@ echo "== data-parallel scale smoke + schema gate (timeout ${SCALE_TIMEOUT}s) =="
 # asserts bitwise-identical weights; the validator then checks the
 # emitted report and the committed benchmark record against the same
 # schema (parity proof, sorted scaling curves, >=1.2x overlap at scale).
-timeout "${SCALE_TIMEOUT}" python -m pytest -x -q -m scale tests/scale
 SCALE_REPORT="$(mktemp /tmp/repro-scale-XXXXXX.json)"
 timeout "${SCALE_TIMEOUT}" python -m repro train --nodes 3 --smoke \
     --json-out "${SCALE_REPORT}"

@@ -20,9 +20,10 @@ autotuner can search:
   calibrated ~20% transform-arithmetic overhead.
 
 Both families reuse the direct path's machinery end to end: the Table II
-DMA model prices every transfer, :func:`~repro.core.conv._pipeline_timeline`
-schedules double-buffered tiles, and the engines feed the same telemetry
-counters (``engine.bytes_get`` ...), so the communication oracle
+DMA model prices every transfer, :func:`~repro.core.conv._fold_program`
+schedules double-buffered tiles, the timed reports share the direct
+engine's memo, and the engines feed the same telemetry counters
+(``engine.bytes_get`` ...), so the communication oracle
 (:mod:`repro.telemetry.oracle`) can compare all three algorithms on equal
 footing.
 
@@ -48,7 +49,9 @@ from repro.core.conv import (
     ConvolutionEngine,
     TimingReport,
     _check_timing_knobs,
-    _pipeline_timeline,
+    _count_evaluation,
+    _fold_program,
+    _memoized_report,
     _StepCost,
 )
 from repro.core.gemm_plan import (
@@ -447,23 +450,16 @@ class WinogradPlan(LoweredConvPlan):
         ]
 
 
-#: Memoized timed walks of lowered schedules, mirroring the direct path's
-#: ``repro.core.conv._TIMING_CACHE``.
-_LOWERED_TIMING_CACHE: Dict[Tuple, TimingReport] = {}
-_LOWERED_TIMING_CACHE_MAX = 4096
-
-
-def clear_lowered_timing_cache() -> None:
-    _LOWERED_TIMING_CACHE.clear()
-
-
 class LoweredConvEngine:
     """Functional + timed execution of a lowered plan, engine-compatible.
 
     Exposes the :class:`~repro.core.conv.ConvolutionEngine` surface the
     layer API, handle and tuner drive — ``evaluate()``, ``run(x, w, bias,
     activation, filter_version)``, ``plan``, ``spec``, ``backend`` — and
-    feeds the same telemetry counters.  Lowered schedules cannot host the
+    feeds the same telemetry counters.  Timed reports share the direct
+    engine's memo (emptied by :func:`~repro.core.conv.clear_timing_cache`),
+    and ``run()`` returns the ``evaluate()`` report, counting one
+    evaluation.  Lowered schedules cannot host the
     degraded-machine replanner or the fused pooling epilogue; both are
     rejected at construction so a tuner restricted to lowered algorithms
     fails fast instead of silently mis-modeling.
@@ -548,15 +544,15 @@ class LoweredConvEngine:
         "how fast is this layer", not "how busy is the mesh" — the same
         convention the baselines and Table III use.
         """
-        key = self._timing_key()
-        cached = _LOWERED_TIMING_CACHE.get(key)
-        if cached is not None:
-            self._count_evaluation(cached, cache_hit=True)
-            return replace(cached)
+        report, hit = _memoized_report(self._timing_key(), self._timed_walk)
+        _count_evaluation(self.telemetry.counters, report, hit)
+        return replace(report)
+
+    def _timed_walk(self) -> TimingReport:
         staging = self._staging_cost()
         staging_seconds = staging.get_seconds + staging.put_seconds
         gemm = self._gemm_report()
-        report = TimingReport(
+        return TimingReport(
             seconds=staging_seconds + gemm.seconds,
             flops=self.plan.params.flops(),
             dma_seconds=staging_seconds + gemm.dma_seconds,
@@ -566,25 +562,6 @@ class LoweredConvEngine:
             tiles=gemm.tiles + 1,
             peak_flops=self.spec.peak_flops_per_cg,
         )
-        if len(_LOWERED_TIMING_CACHE) >= _LOWERED_TIMING_CACHE_MAX:
-            _LOWERED_TIMING_CACHE.clear()
-        _LOWERED_TIMING_CACHE[key] = report
-        self._count_evaluation(report, cache_hit=False)
-        return replace(report)
-
-    def _count_evaluation(self, report: TimingReport, cache_hit: bool) -> None:
-        counters = self.telemetry.counters
-        if not counters.enabled:
-            return
-        counters.add("engine.evaluations")
-        counters.add(
-            "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
-        )
-        counters.add("engine.bytes_get", report.bytes_get)
-        counters.add("engine.bytes_put", report.bytes_put)
-        counters.add("engine.flops", report.flops)
-        counters.add("engine.tiles", report.tiles)
-        counters.add("engine.simulated_seconds", report.seconds)
 
     # -- functional -----------------------------------------------------------
 
@@ -777,16 +754,8 @@ class WinogradEngine(LoweredConvEngine):
                     cost = self._pointwise_cost(*key)
                     cost_memo[key] = cost
                 costs.append(cost)
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
-        return TimingReport(
-            seconds=total,
-            flops=sum(c.flops for c in costs),
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=sum(c.bytes_get for c in costs),
-            bytes_put=sum(c.bytes_put for c in costs),
-            tiles=len(costs),
-            peak_flops=self.spec.peak_flops_per_cg,
+        return _fold_program(
+            [(tuple(costs), 1)], self.overlap_contention, self.spec.peak_flops_per_cg
         )
 
     def _compute(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """The convolution execution engine: functional + timed runs of a plan.
 
-Two concerns share one loop nest (see :mod:`repro.core.plans`):
+A plan is walked twice, for two concerns (see :mod:`repro.core.plans`):
 
 * **Functional**: each :class:`~repro.core.plans.ComputeSpec` of the full
   tile schedule is executed as a real GEMM update — with NumPy directly
@@ -9,7 +9,8 @@ Two concerns share one loop nest (see :mod:`repro.core.plans`):
   against :func:`repro.core.reference.conv2d_reference`.  The mesh
   backends hand each run of consecutive same-shape updates to the mesh as
   one stack (up to :data:`MESH_STACK_BYTES` of operands) and add the
-  products to their output windows in schedule order.
+  products to their output windows in schedule order.  This walk prices
+  nothing.
 * **Timed**: each distinct tile of the plan's run-length tile program is
   priced once — its DMA transfers against the Table II bandwidth curve
   (with the calibrated stride derate), its GEMM against the reordered
@@ -17,15 +18,18 @@ Two concerns share one loop nest (see :mod:`repro.core.plans`):
   buffering of Section IV-A overlaps the two on a two-deep pipeline
   timeline, tile by tile.
 
-The timed path never touches tensor data and builds no per-tile objects,
-so parameter sweeps over the 100+ configurations of Figs. 7/9 run in
-milliseconds per configuration.
+The timed report is memoized process-wide, and both
+:meth:`ConvolutionEngine.evaluate` and :meth:`ConvolutionEngine.run`
+return it, so an executed layer and a timed layer of one plan report the
+same tiles, bytes and seconds.  The timed path never touches tensor data
+and builds no per-tile objects, so parameter sweeps over the 100+
+configurations of Figs. 7/9 run in milliseconds per configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +55,8 @@ class TimingReport:
     compute_seconds: float
     bytes_get: int
     bytes_put: int
+    #: Tiles of the plan's tile program, each run's pattern counted once per
+    #: repeat (a lowered plan adds one for its staging pass).
     tiles: int
     peak_flops: float
 
@@ -110,9 +116,10 @@ BACKENDS = ("numpy", "mesh", "mesh-fast")
 #: megabyte, so peak memory does not grow with the layer.
 MESH_STACK_BYTES = 256 * 1024
 
-#: Memoized timed plan walks: plan signature + timing knobs -> TimingReport.
-#: Repeated layers (training), repeated strips (chip evaluation) and sweep
-#: re-runs hit this instead of re-walking their schedules.
+#: Memoized timed walks of every engine family (direct and lowered): plan
+#: signature + timing knobs -> TimingReport.  Repeated layers (training),
+#: repeated strips (chip evaluation) and sweep re-runs hit this instead of
+#: re-walking their tile programs.
 _TIMING_CACHE: Dict[Tuple, TimingReport] = {}
 
 #: Safety valve so pathological sweeps cannot grow the cache unboundedly.
@@ -120,8 +127,45 @@ _TIMING_CACHE_MAX = 4096
 
 
 def clear_timing_cache() -> None:
-    """Drop every memoized :meth:`ConvolutionEngine.evaluate` result."""
+    """Drop every memoized timed walk, direct and lowered alike."""
     _TIMING_CACHE.clear()
+
+
+def _memoized_report(
+    key: Tuple, walk: Callable[[], TimingReport]
+) -> Tuple[TimingReport, bool]:
+    """The memoized report for ``key``, walked on a miss: ``(report, hit)``.
+
+    The report is shared by every caller, so callers hand out copies.
+    """
+    cached = _TIMING_CACHE.get(key)
+    if cached is not None:
+        return cached, True
+    report = walk()
+    if len(_TIMING_CACHE) >= _TIMING_CACHE_MAX:
+        _TIMING_CACHE.clear()
+    _TIMING_CACHE[key] = report
+    return report, False
+
+
+def _count_evaluation(counters, report: TimingReport, cache_hit: bool) -> None:
+    """Counter accounting for one ``evaluate()`` call (cached or fresh).
+
+    Counting from the report keeps memoized and fresh evaluations
+    indistinguishable to the counters — bytes and flops describe what
+    the schedule *does*, not whether Python re-walked it.
+    """
+    if not counters.enabled:
+        return
+    counters.add("engine.evaluations")
+    counters.add(
+        "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
+    )
+    counters.add("engine.bytes_get", report.bytes_get)
+    counters.add("engine.bytes_put", report.bytes_put)
+    counters.add("engine.flops", report.flops)
+    counters.add("engine.tiles", report.tiles)
+    counters.add("engine.simulated_seconds", report.seconds)
 
 
 #: Fraction of the DMA/compute overlap that LDM-port contention gives back.
@@ -265,6 +309,41 @@ def _pipeline_timeline(
     return total, dma_busy, comp_busy
 
 
+def _fold_program(
+    program: Sequence[Tuple[Tuple[_StepCost, ...], int]],
+    contention: float,
+    peak_flops: float,
+) -> TimingReport:
+    """Fold a run-length cost program into a :class:`TimingReport`.
+
+    The one path from a cost stream to a report, for every engine: the
+    integer totals (flops, bytes, tiles) multiply each run's pattern by its
+    repeat count, and :func:`_pipeline_timeline` runs over the unrolled
+    stream tile by tile.  A per-tile stream is one run of repeat 1.
+    """
+    flops = 0
+    bytes_get = 0
+    bytes_put = 0
+    tiles = 0
+    for costs, count in program:
+        for cost in costs:
+            flops += count * cost.flops
+            bytes_get += count * cost.bytes_get
+            bytes_put += count * cost.bytes_put
+        tiles += count * len(costs)
+    total, dma_busy, comp_busy = _pipeline_timeline(expand_program(program), contention)
+    return TimingReport(
+        seconds=total,
+        flops=flops,
+        dma_seconds=dma_busy,
+        compute_seconds=comp_busy,
+        bytes_get=bytes_get,
+        bytes_put=bytes_put,
+        tiles=tiles,
+        peak_flops=peak_flops,
+    )
+
+
 def effective_mesh_size(mesh_size: int, fenced) -> int:
     """Largest usable square submesh when some CPEs are fenced off.
 
@@ -343,7 +422,6 @@ class ConvolutionEngine:
             )
         self.fused_pool = fused_pool
         self._dma_model = DMABandwidthModel(alignment=self.spec.dma_alignment)
-        self._step_cost_cache: Dict[Tuple, _StepCost] = {}
         # Memoized weight-layout packing (see run(filter_version=...)): one
         # contiguous (No, bNi) slice per distinct (kr, kc, ni-block) the
         # schedule touches, valid for one (filter tensor, version) pair.
@@ -432,16 +510,7 @@ class ConvolutionEngine:
         return self.spec.cycles_to_seconds(cycles)
 
     def _step_cost(self, step: TileStep) -> _StepCost:
-        """Cost of one tile step, memoized on its transfer/flop signature.
-
-        Steady-state tiles of the full schedule repeat the same transfers
-        thousands of times per layer; pricing each distinct (gets, puts,
-        flops) combination once keeps the functional walk's timing cheap.
-        """
-        key = (tuple(step.gets), tuple(step.puts), step.flops)
-        cached = self._step_cost_cache.get(key)
-        if cached is not None:
-            return cached
+        """Cost of one tile step: its DMA gets and puts and its GEMM time."""
         get_s = sum(
             self._transfer_seconds(t.nbytes, t.block_bytes, "get") for t in step.gets
         )
@@ -459,7 +528,7 @@ class ConvolutionEngine:
         put_s = sum(
             self._transfer_seconds(nbytes, block, "put") for nbytes, block in puts
         )
-        cost = _StepCost(
+        return _StepCost(
             get_seconds=get_s,
             compute_seconds=self._compute_seconds(step.flops),
             put_seconds=put_s,
@@ -467,8 +536,6 @@ class ConvolutionEngine:
             bytes_get=sum(t.nbytes for t in step.gets),
             bytes_put=sum(nbytes for nbytes, _ in puts),
         )
-        self._step_cost_cache[key] = cost
-        return cost
 
     def _timing_key(self) -> Tuple:
         """Memoization key for a timed walk of this engine's schedule.
@@ -511,6 +578,19 @@ class ConvolutionEngine:
             runs.append((tuple(costs), count))
         return runs
 
+    def _timed_walk(self) -> TimingReport:
+        """Fold the priced tile program into a report (the memo's miss path)."""
+        report = _fold_program(
+            self._priced_program(), self.overlap_contention, self.spec.peak_flops_per_cg
+        )
+        expected = self.plan.params.flops()
+        if report.flops != expected:
+            raise SimulationError(
+                f"schedule flop count {report.flops} does not cover the layer "
+                f"({expected}); the plan's tiling is incomplete"
+            )
+        return report
+
     def evaluate(self) -> TimingReport:
         """Timed walk of the tile program (no tensor data is touched).
 
@@ -519,85 +599,39 @@ class ConvolutionEngine:
         multiplied by the runs' repeat counts.  Results are memoized
         process-wide on the plan signature and the engine's timing knobs,
         so re-timing the same plan (chip strips, sweeps, repeated training
-        layers) costs a dictionary lookup.
+        layers) costs a dictionary lookup.  :meth:`run` returns the same
+        report.
         """
-        key = self._timing_key()
-        cached = _TIMING_CACHE.get(key)
-        if cached is not None:
-            self._count_evaluation(cached, cache_hit=True)
-            return replace(cached)
-        priced = self._priced_program()
-        flops = 0
-        bytes_get = 0
-        bytes_put = 0
-        tiles = 0
-        for costs, count in priced:
-            for cost in costs:
-                flops += count * cost.flops
-                bytes_get += count * cost.bytes_get
-                bytes_put += count * cost.bytes_put
-            tiles += count * len(costs)
-        total, dma_busy, comp_busy = _pipeline_timeline(
-            expand_program(priced), self.overlap_contention
-        )
-        expected = self.plan.params.flops()
-        if flops != expected:
-            raise SimulationError(
-                f"schedule flop count {flops} does not cover the layer "
-                f"({expected}); the plan's tiling is incomplete"
-            )
-        report = TimingReport(
-            seconds=total,
-            flops=flops,
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=bytes_get,
-            bytes_put=bytes_put,
-            tiles=tiles,
-            peak_flops=self.spec.peak_flops_per_cg,
-        )
-        if len(_TIMING_CACHE) >= _TIMING_CACHE_MAX:
-            _TIMING_CACHE.clear()
-        _TIMING_CACHE[key] = report
-        self._count_evaluation(report, cache_hit=False)
+        report, hit = _memoized_report(self._timing_key(), self._timed_walk)
+        _count_evaluation(self.telemetry.counters, report, hit)
         return replace(report)
 
-    def _count_evaluation(self, report: TimingReport, cache_hit: bool) -> None:
-        """Counter accounting for one timed walk (cached or fresh).
+    def tile_intervals(self, max_tiles: int) -> List[TileInterval]:
+        """The first ``max_tiles`` tiles' scheduled intervals.
 
-        Counting from the report keeps memoized and fresh evaluations
-        indistinguishable to the counters — bytes and flops describe what
-        the schedule *does*, not whether Python re-walked it.
+        Replays the priced tile program through :func:`pipeline_intervals`,
+        the recurrence the timed walk folds down — what the Gantt tracer
+        and :meth:`record_tile_spans` show.
         """
-        counters = self.telemetry.counters
-        if not counters.enabled:
-            return
-        counters.add("engine.evaluations")
-        counters.add(
-            "engine.timing_cache.hits" if cache_hit else "engine.timing_cache.misses"
-        )
-        counters.add("engine.bytes_get", report.bytes_get)
-        counters.add("engine.bytes_put", report.bytes_put)
-        counters.add("engine.flops", report.flops)
-        counters.add("engine.tiles", report.tiles)
-        counters.add("engine.simulated_seconds", report.seconds)
+        intervals = []
+        for interval in pipeline_intervals(expand_program(self._priced_program())):
+            if interval.index >= max_tiles:
+                break
+            intervals.append(interval)
+        return intervals
 
     def record_tile_spans(self, max_tiles: int = 64) -> int:
         """Record the first ``max_tiles`` tiles' intervals as sim spans.
 
-        Replays the tile program through :func:`pipeline_intervals` (the
-        same recurrence the timed evaluation folds down) and emits one span
-        per non-empty get/compute/put window on the simulated-timeline
-        tracks.  Returns the number of tiles recorded.
+        Emits one span per non-empty get/compute/put window of
+        :meth:`tile_intervals` on the simulated-timeline tracks.  Returns
+        the number of tiles recorded.
         """
         tracer = self.telemetry.tracer
         if not tracer.enabled:
             return 0
-        costs = expand_program(self._priced_program())
-        recorded = 0
-        for interval in pipeline_intervals(costs):
-            if interval.index >= max_tiles:
-                break
+        intervals = self.tile_intervals(max_tiles)
+        for interval in intervals:
             i = interval.index
             if interval.get_seconds > 0:
                 tracer.record_sim(
@@ -615,8 +649,7 @@ class ConvolutionEngine:
                     f"tile[{i}].put", interval.put_start, interval.put_end,
                     track="dma-put", cat="tile",
                 )
-            recorded += 1
-        return recorded
+        return len(intervals)
 
     # -- functional -----------------------------------------------------------
 
@@ -680,7 +713,8 @@ class ConvolutionEngine:
         ``x`` is (B, Ni, Ri, Ci) canonical order, ``w`` is (No, Ni, Kr, Kc);
         the plan's packing/unpacking between canonical and vector layouts is
         modeled in the DMA block sizes, so the functional path works on the
-        canonical arrays directly.
+        canonical arrays directly.  The timing is a copy of the memoized
+        :meth:`evaluate` report (read without posting its counters).
 
         ``bias`` (per output channel) and ``activation`` ("relu") are
         applied *fused*: each output tile gets the epilogue while still in
@@ -721,9 +755,10 @@ class ConvolutionEngine:
         with self.telemetry.tracer.span(
             "engine.run", cat="engine", backend=self.backend, params=repr(p)
         ):
-            out, report = self._run_tiles(x, w, bias, activation, filter_version)
+            out = self._run_tiles(x, w, bias, activation, filter_version)
+            report, _ = _memoized_report(self._timing_key(), self._timed_walk)
         self.telemetry.counters.add("engine.runs")
-        return out, report
+        return out, replace(report)
 
     def _run_tiles(
         self,
@@ -732,7 +767,7 @@ class ConvolutionEngine:
         bias: Optional[np.ndarray],
         activation: Optional[str],
         filter_version: Optional[int] = None,
-    ) -> Tuple[np.ndarray, TimingReport]:
+    ) -> np.ndarray:
         p = self.plan.params
         out = np.zeros(p.output_shape, dtype=np.float64)
         pack = (
@@ -745,11 +780,6 @@ class ConvolutionEngine:
             # engine's lifetime.
             self._mesh_gemm.reset_stats()
 
-        costs = []
-        flops = 0
-        bytes_get = 0
-        bytes_put = 0
-        tiles = 0
         # Mesh backends queue consecutive same-shape updates and multiply
         # them as one stack (see _mesh_compute); the queue lives only for
         # this run, so a run that raises leaves nothing behind.
@@ -794,12 +824,6 @@ class ConvolutionEngine:
                     pending_bytes = 0
                 pending.append((w_slice, window, target))
                 pending_bytes += pair_bytes
-            cost = self._step_cost(step)
-            costs.append(cost)
-            flops += cost.flops
-            bytes_get += cost.bytes_get
-            bytes_put += cost.bytes_put
-            tiles += 1
         if pending:
             self._mesh_compute(pending)
         # Fused epilogue: on hardware this runs per output tile while it is
@@ -828,18 +852,7 @@ class ConvolutionEngine:
                     out = out.reshape(b, no, ro // s, s, co // s, s).mean(
                         axis=(3, 5)
                     )
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
-        report = TimingReport(
-            seconds=total,
-            flops=flops,
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=bytes_get,
-            bytes_put=bytes_put,
-            tiles=tiles,
-            peak_flops=self.spec.peak_flops_per_cg,
-        )
-        return out, report
+        return out
 
     def _mesh_compute(
         self, pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]

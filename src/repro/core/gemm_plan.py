@@ -34,7 +34,7 @@ from repro.core.conv import (
     OVERLAP_CONTENTION,
     TimingReport,
     _check_timing_knobs,
-    _pipeline_timeline,
+    _fold_program,
     _StepCost,
 )
 from repro.core.register_blocking import PAPER_REGISTER_BLOCKING, RegisterBlocking
@@ -242,21 +242,13 @@ class GemmEngine:
 
     def evaluate(self) -> TimingReport:
         chunks = list(self.plan.k_chunks())
-        costs = [
+        costs = tuple(
             self._cost(m_len, n_len, k_len, i == len(chunks) - 1)
             for _, m_len, _, n_len in self.plan.tiles()
             for i, (_, k_len) in enumerate(chunks)
-        ]
-        total, dma_busy, comp_busy = _pipeline_timeline(costs, self.overlap_contention)
-        return TimingReport(
-            seconds=total,
-            flops=sum(c.flops for c in costs),
-            dma_seconds=dma_busy,
-            compute_seconds=comp_busy,
-            bytes_get=sum(c.bytes_get for c in costs),
-            bytes_put=sum(c.bytes_put for c in costs),
-            tiles=len(costs),
-            peak_flops=self.spec.peak_flops_per_cg,
+        )
+        return _fold_program(
+            [(costs, 1)], self.overlap_contention, self.spec.peak_flops_per_cg
         )
 
     def run(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, TimingReport]:

@@ -7,34 +7,26 @@ ASCII Gantt chart — the visual the Section IV-A double-buffering argument
 is usually drawn as.
 
 The tiles are the plan's tile program, priced by the engine exactly as the
-timed evaluation prices them, and :func:`repro.core.conv.pipeline_intervals`
-wraps the same per-tile recurrence the timed evaluation folds down and the
-telemetry span exporter replays — so the Gantt chart, the timing report
-and the Chrome trace can never disagree about the schedule.
+timed evaluation prices them, and replayed by
+:meth:`repro.core.conv.ConvolutionEngine.tile_intervals` — the same
+intervals the telemetry span exporter records, from the same per-tile
+recurrence the timed evaluation folds down — so the Gantt chart, the
+timing report and the Chrome trace can never disagree about the schedule.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.conv import (
-    ConvolutionEngine,
-    OVERLAP_CONTENTION,
-    TileInterval,
-    pipeline_intervals,
-)
-from repro.core.plans import ConvPlan, expand_program
-
-#: Kept as an alias: the interval record is shared with the engine now, but
-#: existing callers (benches, notebooks) import it under this name.
-TileTrace = TileInterval
+from repro.core.conv import ConvolutionEngine, TileInterval
+from repro.core.plans import ConvPlan
 
 
 def trace_plan(
     plan: Optional[ConvPlan] = None,
     max_tiles: int = 16,
     engine: Optional[ConvolutionEngine] = None,
-) -> List[TileTrace]:
+) -> List[TileInterval]:
     """Record the first ``max_tiles`` tiles' scheduling intervals.
 
     Pass either a ``plan`` (traced on a fresh healthy engine) or an
@@ -46,16 +38,10 @@ def trace_plan(
         if plan is None:
             raise ValueError("trace_plan needs a plan or an engine")
         engine = ConvolutionEngine(plan)
-    costs = expand_program(engine._priced_program())
-    traces: List[TileTrace] = []
-    for interval in pipeline_intervals(costs):
-        if interval.index >= max_tiles:
-            break
-        traces.append(interval)
-    return traces
+    return engine.tile_intervals(max_tiles)
 
 
-def render_gantt(traces: List[TileTrace], width: int = 72) -> str:
+def render_gantt(traces: List[TileInterval], width: int = 72) -> str:
     """ASCII Gantt: one row per tile, ``#`` get, ``=`` compute, ``>`` put."""
     if not traces:
         return "(no tiles)"
@@ -84,7 +70,7 @@ def render_gantt(traces: List[TileTrace], width: int = 72) -> str:
     return "\n".join(lines)
 
 
-def overlap_summary(traces: List[TileTrace]) -> float:
+def overlap_summary(traces: List[TileInterval]) -> float:
     """Fraction of compute windows that hid some later tile's DMA get.
 
     Zero-compute steps (e.g. promoted-filter head transfers) are skipped:

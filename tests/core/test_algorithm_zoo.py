@@ -22,6 +22,7 @@ from repro.core.algorithms import (
     make_lowered_plan,
     resolve_algorithms,
 )
+from repro.core.conv import clear_timing_cache
 from repro.core.params import ConvParams
 from repro.core.reference import conv2d_reference
 from repro.core.serialize import plan_from_dict, plan_to_dict, plan_to_json, plan_from_json
@@ -161,8 +162,22 @@ class TestEngineContracts:
         )
         counters = telemetry.counters.as_dict()
         assert counters["engine.runs"] == 1
+        # A lowered run returns its evaluate() report, counting one walk.
+        assert counters["engine.evaluations"] == 1
         assert counters["engine.bytes_get"] > 0
         assert counters["engine.flops"] == params.flops()
+
+    def test_clear_timing_cache_drops_lowered_reports(self):
+        from repro.telemetry import Telemetry
+
+        params = ConvParams.from_output(ni=8, no=8, ro=8, co=8, kr=3, kc=3, b=2)
+        plan = make_lowered_plan("im2col", params)
+        engine_for_plan(plan).evaluate()
+        clear_timing_cache()
+        telemetry = Telemetry()
+        engine_for_plan(plan, telemetry=telemetry).evaluate()
+        assert telemetry.counters.get("engine.timing_cache.misses") == 1
+        assert telemetry.counters.get("engine.timing_cache.hits") == 0
 
     def test_gemm_blocking_enumeration_fits_and_dedupes(self):
         params = ConvParams.from_output(ni=16, no=16, ro=16, co=16, kr=3, kc=3, b=8)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PlanError
+from repro.core.algorithms import engine_for_plan, make_lowered_plan
 from repro.core.conv import (
     ConvolutionEngine,
     TimingReport,
+    clear_timing_cache,
     conv_forward,
     evaluate_chip,
     _StepCost,
@@ -17,6 +19,8 @@ from repro.core.ldm_blocking import BatchBlocking, ImageBlocking
 from repro.core.params import ConvParams
 from repro.core.plans import BatchSizeAwarePlan, ImageSizeAwarePlan
 from repro.core.reference import conv2d_reference
+from repro.faults import FaultPlan, FaultSpec
+from repro.telemetry import Telemetry
 
 
 class TestFunctionalCorrectness:
@@ -83,17 +87,61 @@ class TestTiming:
         assert report.flops == paper_params.flops()
 
     def test_run_and_evaluate_agree_on_time(self, rng, small_params):
-        plan = ImageSizeAwarePlan(small_params)
+        """A run reports exactly what ``evaluate()`` reports on its engine."""
+        p = small_params
+        tiny = ConvParams(ni=8, no=8, ri=6, ci=6, kr=3, kc=3, b=8)
+        ni_blocked = [
+            ImageSizeAwarePlan(p, blocking=ImageBlocking(b_b=8, b_co=4, b_ni=8)),
+            BatchSizeAwarePlan(p, blocking=BatchBlocking(b_co=4, b_ni=8)),
+        ]
+        cases = [
+            (plan, {"backend": backend})
+            for plan in [ImageSizeAwarePlan(p), BatchSizeAwarePlan(p)] + ni_blocked
+            for backend in ("numpy", "mesh-fast")
+        ]
+        cases += [
+            (ImageSizeAwarePlan(tiny), {"backend": "mesh"}),
+            (BatchSizeAwarePlan(tiny), {"backend": "mesh"}),
+            (ImageSizeAwarePlan(p), {"fused_pool": 2}),
+            (BatchSizeAwarePlan(p), {"fused_pool": 2, "backend": "mesh-fast"}),
+        ]
+        for plan in (ImageSizeAwarePlan(p), BatchSizeAwarePlan(p)):
+            for backend in ("numpy", "mesh-fast"):
+                faults = FaultPlan(
+                    FaultSpec(dma_bandwidth_factor=0.6, num_random_fenced=2)
+                )
+                cases.append((plan, {"backend": backend, "fault_plan": faults}))
+        for algorithm in ("im2col", "winograd"):
+            for backend in ("numpy", "mesh-fast"):
+                cases.append(
+                    (make_lowered_plan(algorithm, p), {"backend": backend})
+                )
+        for plan, kwargs in cases:
+            clear_timing_cache()
+            engine = engine_for_plan(plan, **kwargs)
+            x = rng.standard_normal(plan.params.input_shape)
+            w = rng.standard_normal(plan.params.filter_shape)
+            _, run_report = engine.run(x, w)
+            assert run_report == engine.evaluate(), (plan.describe(), kwargs)
+
+    def test_run_posts_no_evaluation_counters(self, rng, small_params):
+        telemetry = Telemetry()
+        engine = ConvolutionEngine(
+            BatchSizeAwarePlan(small_params), telemetry=telemetry
+        )
         x = rng.standard_normal(small_params.input_shape)
         w = rng.standard_normal(small_params.filter_shape)
-        _, run_report = ConvolutionEngine(plan).run(x, w)
-        eval_report = ConvolutionEngine(plan).evaluate()
-        # The functional walk uses the full schedule, the timed walk the
-        # tile program; totals agree because byte/flop sums are identical
-        # and the program merges only same-cycle-cost transfers.
-        assert run_report.flops == eval_report.flops
-        assert run_report.bytes_get == eval_report.bytes_get
-        assert run_report.seconds == pytest.approx(eval_report.seconds, rel=0.1)
+        clear_timing_cache()
+        engine.run(x, w)  # walks the tile program
+        engine.run(x, w)  # reads the memo
+        counters = telemetry.counters.as_dict()
+        assert counters["engine.runs"] == 2
+        assert not [
+            name
+            for name in counters
+            if name in ("engine.evaluations", "engine.tiles", "engine.flops")
+            or name.startswith("engine.timing_cache.")
+        ]
 
     def test_efficiency_below_ee_ceiling(self, paper_params):
         report = ConvolutionEngine(BatchSizeAwarePlan(paper_params)).evaluate()

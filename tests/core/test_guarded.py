@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.common.errors import PlanError, SimulationError
-from repro.core.conv import ConvolutionEngine, effective_mesh_size
+from repro.core.conv import ConvolutionEngine, clear_timing_cache, effective_mesh_size
 from repro.core.guarded import FALLBACK_LADDERS, GuardedConvolutionEngine
 from repro.core.params import ConvParams
 from repro.core.planner import plan_convolution
+from repro.core.plans import make_plan
 from repro.core.reference import conv2d_reference
 from repro.faults import FaultPlan, FaultSpec
 
@@ -179,6 +180,27 @@ class TestEvaluate:
         plan = FaultPlan(FaultSpec(dma_bandwidth_factor=0.5))
         degraded = ConvolutionEngine(_plan(), fault_plan=plan).evaluate()
         assert degraded.dma_seconds == pytest.approx(2.0 * healthy.dma_seconds)
+
+    @pytest.mark.parametrize("kind", ["image", "batch"])
+    @pytest.mark.parametrize(
+        "spec, tier",
+        [(None, "mesh-fast"), (FaultSpec(bus_stall_rate=1.0), "numpy")],
+        ids=["first-tier", "demoted"],
+    )
+    def test_run_reports_evaluate(self, kind, spec, tier):
+        # Batch 8 fills the mesh, so both families run on the first tier.
+        params = ConvParams.from_output(ni=16, no=16, ro=8, co=8, kr=3, kc=3, b=8)
+        faults = FaultPlan(spec) if spec is not None else None
+        engine = GuardedConvolutionEngine(
+            make_plan(kind, params), backend="mesh-fast", fault_plan=faults
+        )
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(params.input_shape)
+        w = rng.standard_normal(params.filter_shape)
+        clear_timing_cache()
+        _, timing = engine.run(x, w)
+        assert engine.last_outcome.backend_used == tier
+        assert timing == engine.evaluate()
 
 
 class TestLadders:

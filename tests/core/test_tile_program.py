@@ -4,12 +4,14 @@
 both plan families used before the program existed, kept as the
 reference: the program must unroll to exactly its steps, and the timed
 walk over the program must reproduce the per-tile fold of those steps bit
-for bit.
+for bit.  The GEMM and Winograd engines fold their per-tile streams
+through the same run-length fold, pinned against the same reference.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.algorithms import GemmBlocking, WinogradEngine, make_lowered_plan
 from repro.core.conv import (
     ConvolutionEngine,
     TimingReport,
@@ -18,6 +20,7 @@ from repro.core.conv import (
     clear_timing_cache,
     pipeline_intervals,
 )
+from repro.core.gemm_plan import GemmEngine, GemmParams, GemmPlan
 from repro.core.layout import (
     DS,
     batch_plan_block_bytes,
@@ -143,9 +146,8 @@ def _reference_streams(steps):
     ]
 
 
-def _folded_report(engine, steps):
-    """Fold ``pipeline_intervals`` over per-step costs, one tile at a time."""
-    costs = [engine._step_cost(step) for step in steps]
+def _folded_report(engine, costs):
+    """Fold ``pipeline_intervals`` over per-tile costs, one tile at a time."""
     end_get = end_put = end_comp = 0.0
     dma_busy = comp_busy = 0.0
     for interval in pipeline_intervals(costs):
@@ -204,7 +206,8 @@ class TestProgramMatchesCoalescedSchedule:
 
         clear_timing_cache()
         engine = ConvolutionEngine(plan)
-        assert engine.evaluate() == _folded_report(engine, reference)
+        costs = [engine._step_cost(step) for step in reference]
+        assert engine.evaluate() == _folded_report(engine, costs)
 
         assert plan.dma_streams() == _reference_streams(reference)
 
@@ -236,6 +239,59 @@ class TestProgramMatchesCoalescedSchedule:
         for a in steps:
             for b in steps:
                 assert (a == b) == (a is b)
+
+
+def _gemm_costs(cost, plan):
+    """Per-tile costs of a tiled GEMM: every output tile, every K chunk."""
+    chunks = list(plan.k_chunks())
+    return [
+        cost(m_len, n_len, k_len, i == len(chunks) - 1)
+        for _, m_len, _, n_len in plan.tiles()
+        for i, (_, k_len) in enumerate(chunks)
+    ]
+
+
+class TestLoweredFoldsMatchPerTileFold:
+    """GEMM and Winograd reports come from the same run-length fold."""
+
+    @pytest.mark.parametrize(
+        "shape, blocking",
+        [
+            ((64, 64, 64), None),
+            ((100, 37, 50), (32, 16, 24)),  # edge tiles and an edge K chunk
+            ((128, 96, 1152), (64, 32, 256)),
+            ((7, 9, 11), None),
+        ],
+        ids=str,
+    )
+    def test_gemm_engine(self, shape, blocking):
+        m, n, k = shape
+        engine = GemmEngine(GemmPlan(GemmParams(m=m, n=n, k=k), blocking=blocking))
+        costs = _gemm_costs(engine._cost, engine.plan)
+        assert engine.evaluate() == _folded_report(engine, costs)
+
+    @pytest.mark.parametrize(
+        "params, blocking",
+        [
+            (ConvParams.from_output(ni=16, no=16, ro=8, co=8, kr=3, kc=3, b=8), None),
+            # Edge column tiles (n = 60 in blocks of 16).
+            (
+                ConvParams.from_output(ni=8, no=8, ro=9, co=7, kr=3, kc=3, b=3),
+                GemmBlocking(b_m=8, b_n=16, b_k=8),
+            ),
+            # 2 x 4 output tiles, each over three K chunks (24, 24, 16).
+            (
+                ConvParams.from_output(ni=64, no=32, ro=16, co=16, kr=3, kc=3, b=4),
+                GemmBlocking(b_m=16, b_n=64, b_k=24),
+            ),
+        ],
+        ids=["default", "edge-tiles", "k-chunks"],
+    )
+    def test_winograd_engine(self, params, blocking):
+        plan = make_lowered_plan("winograd", params, blocking=blocking)
+        engine = WinogradEngine(plan)
+        costs = _gemm_costs(engine._pointwise_cost, engine.plan.gemm_plan())
+        assert engine._gemm_report() == _folded_report(engine, costs)
 
 
 def _history_intervals(costs):

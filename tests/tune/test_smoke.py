@@ -1,4 +1,4 @@
-"""Fast autotune smoke — the `tune` stage of scripts/verify.sh.
+"""Fast autotune smoke — the `tune`-marked tests (`make tune`).
 
 One tiny shape, cold tune into a throwaway cache, warm hit, and bit-exact
 output from the tuned plan.  Everything here must stay in the

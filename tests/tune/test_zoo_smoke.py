@@ -1,4 +1,4 @@
-"""Conv-algorithm-zoo smoke — the `zoo` stage of scripts/verify.sh.
+"""Conv-algorithm-zoo smoke — the `zoo`-marked tests (`make zoo`).
 
 One tuned cross-family search on a Table III row: the zoo search must
 never regress the direct-tuned result, its winner must round-trip through
