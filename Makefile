@@ -17,8 +17,10 @@ zoo:
 
 profile:
 	python -m repro profile --ni 32 --no 32 --out 16 --batch 16 \
-	    --tiles 8 --guarded --trace-out /tmp/repro-profile.json
-	python -m repro.telemetry.validate /tmp/repro-profile.json
+	    --tiles 8 --guarded --trace-out /tmp/repro-profile-trace.json \
+	    --json-out /tmp/repro-profile.json
+	python -m repro validate /tmp/repro-profile-trace.json \
+	    /tmp/repro-profile.json
 
 serve:
 	python -m pytest -x -q -m serve tests/serve
@@ -27,19 +29,24 @@ serve:
 fleet:
 	python -m repro serve --chips 4 --smoke
 	python -m repro serve --chips 3 --chaos --requests 48 --smoke
-	python -m repro.serve.validate benchmarks/BENCH_fleet.json
+	python -m repro validate benchmarks/BENCH_fleet.json
 
 chaos:
-	python -m repro serve --chaos --smoke --json-out /tmp/repro-chaos.json
-	python -m repro.faults.validate /tmp/repro-chaos.json
+	python -m repro serve --chaos --smoke --json-out /tmp/repro-chaos.json \
+	    --flight-out /tmp/repro-flight.json
+	python -m repro validate /tmp/repro-chaos.json /tmp/repro-flight.json \
+	    benchmarks/BENCH_chaos_serve.json
 
 scale:
 	python -m pytest -x -q -m scale tests/scale
 	python -m repro train --nodes 3 --smoke --json-out /tmp/repro-scale.json
-	python -m repro.scale.validate /tmp/repro-scale.json
+	python -m repro validate /tmp/repro-scale.json \
+	    benchmarks/BENCH_dataparallel.json
 
 metrics:
-	python -m repro metrics --smoke --requests 48
+	python -m repro metrics --smoke --requests 48 \
+	    --json-out /tmp/repro-metrics.json
+	python -m repro validate /tmp/repro-metrics.json
 
 regress:
 	python -m repro.telemetry.regress benchmarks

@@ -16,7 +16,8 @@ import json
 import os
 
 from repro.core.params import ConvParams
-from repro.telemetry import oracle_report, validate_oracle_report
+from repro.common.schema import validate
+from repro.telemetry import oracle_report
 from repro.tune import autotune
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_algos.json")
@@ -47,7 +48,7 @@ def test_bench_algos(benchmark):
     results = benchmark.pedantic(_tune_all, rounds=1, iterations=1)
 
     oracle = oracle_report(shapes)
-    assert validate_oracle_report(oracle.as_dict()) == []
+    assert validate(oracle.as_dict()) == []
     attainment = {}
     for row in oracle.rows:
         attainment.setdefault(row.params, {})[row.algorithm] = round(

@@ -13,17 +13,15 @@ hang, two CPEs fenced):
 
 Acceptance bars asserted here: availability >= 99%, zero wrong answers,
 the breaker actually cycled (>= 1 open), and the written record passes
-the chaos-serve schema the CI smoke stage validates.
+the chaos-serve schema the CI chaos stage checks
+(``python -m repro validate``).
 """
 
 import json
 import os
 
-from repro.faults import (
-    default_chaos_serve_faults,
-    run_chaos_serve,
-    validate_chaos_serve_report,
-)
+from repro.common.schema import validate
+from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_chaos_serve.json"
@@ -53,7 +51,7 @@ def _chaos(record):
     assert report.breaker_opened >= 1, (
         "the breaker never tripped under a ~45% per-attempt failure rate"
     )
-    violations = validate_chaos_serve_report(payload)
+    violations = validate(payload)
     assert violations == [], f"schema violations: {violations}"
 
     record.update(payload)

@@ -16,17 +16,14 @@ multi-node training run plus the modeled scaling story:
 Acceptance bars asserted here: the parity proof holds, the overlapped
 bucketed allreduce beats the serialized schedule by >= 1.2x at 16+
 nodes, and the written record passes the schema the CI scale stage
-validates (``python -m repro.scale.validate``).
+checks (``python -m repro validate``).
 """
 
 import json
 import os
 
+from repro.common.schema import MIN_OVERLAP_SPEEDUP, validate
 from repro.scale.report import build_dataparallel_report
-from repro.scale.validate import (
-    MIN_OVERLAP_SPEEDUP,
-    validate_dataparallel_report,
-)
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "BENCH_dataparallel.json"
@@ -56,14 +53,14 @@ def _dataparallel(record):
         f"overlapped bucketed allreduce only {worst:.3f}x vs serialized at "
         f"16+ nodes (need >= {MIN_OVERLAP_SPEEDUP}x)"
     )
-    violations = validate_dataparallel_report(report)
+    violations = validate(report)
     assert violations == [], f"schema violations: {violations}"
 
     record.update(report)
     record["acceptance"] = {
         "parity_bar": "bitwise-identical weights at N=1/2/4 and vs plain SGD",
         "overlap_bar": f">= {MIN_OVERLAP_SPEEDUP}x vs serialized at 16+ nodes",
-        "schema_bar": "passes repro.scale.validate (the CI scale gate)",
+        "schema_bar": "passes python -m repro validate (the CI scale gate)",
     }
     return worst
 

@@ -19,8 +19,8 @@ claims:
 A diurnal section drives the autoscaler through load peaks and troughs
 and records how many chips it actually used versus the static fleet.
 
-The written record passes ``python -m repro.serve.validate`` — the same
-gate ``scripts/verify.sh`` runs against the committed JSON.
+The written record passes ``python -m repro validate`` — the same gate
+``scripts/verify.sh`` runs against the committed JSON.
 """
 
 import json
@@ -30,6 +30,13 @@ import time
 import numpy as np
 
 from repro.common.rng import derive_rng
+from repro.common.schema import (
+    FLEET_SCHEMA,
+    MIN_AFFINITY_HIT_RATE,
+    MIN_SCALING_4CHIP,
+    MAX_P99_RATIO,
+    validate,
+)
 from repro.serve import (
     FleetConfig,
     FleetServer,
@@ -44,13 +51,6 @@ from repro.serve import (
 )
 from repro.serve.fleet import AutoscalerPolicy
 from repro.serve.fleet_sim import measure_service_table, simulate_fleet
-from repro.serve.validate import (
-    FLEET_SCHEMA,
-    MIN_AFFINITY_HIT_RATE,
-    MIN_SCALING_4CHIP,
-    MAX_P99_RATIO,
-    validate_fleet_report,
-)
 from repro.telemetry import Telemetry, use_telemetry
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "BENCH_fleet.json")
@@ -267,7 +267,7 @@ def _fleet(record):
     assert record["real_fleet"]["wrong_answers"] == 0
     assert record["real_fleet"]["bit_identical"] is True
     assert record["real_fleet"]["counters_balanced"] is True
-    violations = validate_fleet_report(record)
+    violations = validate(record)
     assert violations == [], f"schema violations: {violations}"
     return scaling
 

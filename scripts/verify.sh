@@ -24,15 +24,17 @@ BENCH_SMOKE_TIMEOUT="${BENCH_SMOKE_TIMEOUT:-300}"
 echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
 timeout "${TIER1_TIMEOUT}" python -m pytest -x -q
 
-echo "== telemetry profile smoke test (timeout ${PROFILE_TIMEOUT}s) =="
-PROFILE_TRACE="$(mktemp /tmp/repro-profile-XXXXXX.json)"
-CHAOS_REPORT=""
-SCALE_REPORT=""
-trap 'rm -f "${PROFILE_TRACE}" ${CHAOS_REPORT:+"${CHAOS_REPORT}"} ${SCALE_REPORT:+"${SCALE_REPORT}"}' EXIT
+WORK="$(mktemp -d /tmp/repro-verify-XXXXXX)"
+trap 'rm -rf "${WORK}"' EXIT
+
+echo "== telemetry profile smoke + schema gate (timeout ${PROFILE_TIMEOUT}s) =="
+# The profile document carries the communication-lower-bound oracle
+# report, so this gate covers the oracle tag too.
 timeout "${PROFILE_TIMEOUT}" python -m repro profile \
     --ni 32 --no 32 --out 16 --batch 16 --tiles 8 --guarded \
-    --trace-out "${PROFILE_TRACE}"
-timeout "${PROFILE_TIMEOUT}" python -m repro.telemetry.validate "${PROFILE_TRACE}"
+    --trace-out "${WORK}/trace.json" --json-out "${WORK}/profile.json"
+timeout "${PROFILE_TIMEOUT}" python -m repro validate \
+    "${WORK}/trace.json" "${WORK}/profile.json"
 
 echo "== serve smoke (timeout ${SERVE_TIMEOUT}s) =="
 timeout "${SERVE_TIMEOUT}" python -m repro serve --smoke
@@ -41,49 +43,40 @@ echo "== multi-chip fleet smoke + schema gate (timeout ${FLEET_TIMEOUT}s) =="
 # The fleet smoke routes a skewed multi-shape trace across 4 simulated
 # chips and asserts balanced per-chip counters and a zero-wrong-answer
 # parity audit; the chaos variant kills a home chip mid-run and asserts
-# route-around.  The validator then gates the committed benchmark record
-# (scaling at matched p99, affinity hit rate, bit-identity).
+# route-around.  The schema gate then checks the committed benchmark
+# record (scaling at matched p99, affinity hit rate, bit-identity).
 timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 4 --smoke
 timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 3 --chaos \
     --requests 48 --smoke
-if [ -f benchmarks/BENCH_fleet.json ]; then
-    timeout "${FLEET_TIMEOUT}" python -m repro.serve.validate \
-        benchmarks/BENCH_fleet.json
-fi
+timeout "${FLEET_TIMEOUT}" python -m repro validate benchmarks/BENCH_fleet.json
 
 echo "== chaos-serve smoke + schema gate (timeout ${CHAOS_TIMEOUT}s) =="
 # The smoke asserts availability under seeded dma+cpe faults and the
-# zero-wrong-answer parity audit; the validator then checks the emitted
-# report and the committed benchmark record against the same schema.
-CHAOS_REPORT="$(mktemp /tmp/repro-chaos-XXXXXX.json)"
+# zero-wrong-answer parity audit; the schema gate then checks the emitted
+# report, its flight-recorder ring and the committed benchmark record.
 timeout "${CHAOS_TIMEOUT}" python -m repro serve --chaos --smoke \
-    --json-out "${CHAOS_REPORT}"
-timeout "${CHAOS_TIMEOUT}" python -m repro.faults.validate "${CHAOS_REPORT}"
-if [ -f benchmarks/BENCH_chaos_serve.json ]; then
-    timeout "${CHAOS_TIMEOUT}" python -m repro.faults.validate \
-        benchmarks/BENCH_chaos_serve.json
-fi
+    --json-out "${WORK}/chaos.json" --flight-out "${WORK}/flight.json"
+timeout "${CHAOS_TIMEOUT}" python -m repro validate \
+    "${WORK}/chaos.json" "${WORK}/flight.json" \
+    benchmarks/BENCH_chaos_serve.json
 
 echo "== data-parallel scale smoke + schema gate (timeout ${SCALE_TIMEOUT}s) =="
 # The smoke trains the same global batches on 1/2/4 executed nodes and
-# asserts bitwise-identical weights; the validator then checks the
-# emitted report and the committed benchmark record against the same
-# schema (parity proof, sorted scaling curves, >=1.2x overlap at scale).
-SCALE_REPORT="$(mktemp /tmp/repro-scale-XXXXXX.json)"
+# asserts bitwise-identical weights; the schema gate then checks the
+# emitted report and the committed benchmark record (parity proof, sorted
+# scaling curves, >=1.2x overlap at scale).
 timeout "${SCALE_TIMEOUT}" python -m repro train --nodes 3 --smoke \
-    --json-out "${SCALE_REPORT}"
-timeout "${SCALE_TIMEOUT}" python -m repro.scale.validate "${SCALE_REPORT}"
-if [ -f benchmarks/BENCH_dataparallel.json ]; then
-    timeout "${SCALE_TIMEOUT}" python -m repro.scale.validate \
-        benchmarks/BENCH_dataparallel.json
-fi
+    --json-out "${WORK}/dataparallel.json"
+timeout "${SCALE_TIMEOUT}" python -m repro validate \
+    "${WORK}/dataparallel.json" benchmarks/BENCH_dataparallel.json
 
-echo "== metrics smoke: dashboard + exposition round-trip (timeout ${METRICS_TIMEOUT}s) =="
+echo "== metrics smoke + schema gate (timeout ${METRICS_TIMEOUT}s) =="
 # A seeded serve run with the metrics registry enabled: the smoke asserts
 # non-trivial latency histograms, a queue-depth time series, and that the
 # OpenMetrics exposition parses and agrees with the JSON snapshot.
 timeout "${METRICS_TIMEOUT}" python -m repro metrics --smoke \
-    --requests 48 > /dev/null
+    --requests 48 --json-out "${WORK}/metrics.json" > /dev/null
+timeout "${METRICS_TIMEOUT}" python -m repro validate "${WORK}/metrics.json"
 
 echo "== bench regression gate (timeout ${REGRESS_TIMEOUT}s) =="
 # Re-derives every headline scalar from the committed BENCH_*.json ledger

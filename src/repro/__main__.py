@@ -26,6 +26,10 @@ Subcommands::
                                  dashboard: latency histograms, gauges, the
                                  queue-depth time series, and the OpenMetrics
                                  exposition
+    validate FILE...             check JSON documents (profile, trace, metrics,
+                                 flight, oracle, chaos-serve, data-parallel,
+                                 fleet) against repro.common.schema; exit 1
+                                 if any file is unreadable or invalid
 """
 
 from __future__ import annotations
@@ -256,12 +260,12 @@ def _guarded_probe(args, telemetry) -> None:
 
 
 def cmd_profile(args) -> int:
+    from repro.common.schema import PROFILE_SCHEMA, validate
     from repro.core.conv import ConvolutionEngine, evaluate_chip
     from repro.core.planner import plan_convolution
     from repro.telemetry import Telemetry, use_telemetry
     from repro.telemetry.drift import drift_report
     from repro.telemetry.oracle import oracle_report
-    from repro.telemetry.validate import validate_chrome_trace_file
 
     params = _profile_params(args)
     telemetry = Telemetry()
@@ -290,7 +294,7 @@ def cmd_profile(args) -> int:
     print(telemetry.counters.render())
     if args.trace_out:
         telemetry.tracer.write(args.trace_out)
-        violations = validate_chrome_trace_file(args.trace_out)
+        violations = validate(telemetry.tracer.to_chrome_trace())
         if violations:
             print(f"trace: INVALID ({len(violations)} violation(s))")
             for violation in violations[:5]:
@@ -301,11 +305,6 @@ def cmd_profile(args) -> int:
     if args.json_out:
         import json
 
-        from repro.telemetry.validate import (
-            PROFILE_SCHEMA,
-            validate_profile_document,
-        )
-
         document = {
             "schema": PROFILE_SCHEMA,
             "params": params.describe(),
@@ -314,7 +313,7 @@ def cmd_profile(args) -> int:
             "drift": report.as_dict(),
             "oracle": oracle.as_dict(),
         }
-        violations = validate_profile_document(document)
+        violations = validate(document)
         if violations:
             print(f"profile document: INVALID ({len(violations)} violation(s))")
             for violation in violations[:5]:
@@ -600,11 +599,8 @@ def _cmd_serve_chaos(args) -> int:
     """``repro serve --chaos``: seeded fault plan against a live server."""
     import json
 
-    from repro.faults import (
-        default_chaos_serve_faults,
-        run_chaos_serve,
-        validate_chaos_serve_report,
-    )
+    from repro.common.schema import validate
+    from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
     report = run_chaos_serve(
         fault_spec=default_chaos_serve_faults(args.seed or 0xC0FFEE),
@@ -635,9 +631,7 @@ def _cmd_serve_chaos(args) -> int:
             f"{report.flight.dropped} dropped)"
         )
     if args.smoke:
-        failures = validate_chaos_serve_report(report.as_dict())
-        if report.availability <= 0:
-            failures.append(f"availability {report.availability} is not > 0")
+        failures = validate(report.as_dict())
         if report.availability < 0.99:
             failures.append(
                 f"availability {report.availability * 100:.2f}% below 99%"
@@ -657,9 +651,9 @@ def _cmd_serve_chaos(args) -> int:
 def cmd_train(args) -> int:
     import json
 
+    from repro.common.schema import validate
     from repro.scale.cluster import ClusterFaultSpec
     from repro.scale.report import build_dataparallel_report
-    from repro.scale.validate import validate_dataparallel_report
 
     faults = None
     if args.chaos:
@@ -725,9 +719,7 @@ def cmd_train(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
         print(f"report written to {args.json_out}")
     if args.smoke:
-        failures = validate_dataparallel_report(report)
-        if not parity["bitwise_identical"]:
-            failures.append("parity proof failed")
+        failures = validate(report)
         if failures:
             for failure in failures:
                 print(f"train smoke FAIL: {failure}")
@@ -759,13 +751,13 @@ def cmd_metrics(args) -> int:
         run_load,
         synthetic_images,
     )
+    from repro.common.schema import validate
     from repro.telemetry import Telemetry, use_telemetry
     from repro.telemetry.metrics import (
         exposition_matches_snapshot,
         metrics_snapshot,
         parse_openmetrics,
         to_openmetrics,
-        validate_metrics_snapshot,
     )
 
     rng = np.random.default_rng(args.seed)
@@ -830,7 +822,7 @@ def cmd_metrics(args) -> int:
             failures.append(f"exposition does not parse: {exc}")
         if families and "repro_serve_latency_ms" not in families:
             failures.append("exposition lacks the repro_serve_latency_ms family")
-        failures.extend(validate_metrics_snapshot(snapshot))
+        failures.extend(validate(snapshot))
         failures.extend(exposition_matches_snapshot(exposition, snapshot))
         if report.completed != report.offered:
             failures.append(
@@ -847,6 +839,33 @@ def cmd_metrics(args) -> int:
             f"and matches the validated snapshot"
         )
     return 0
+
+
+def cmd_validate(args) -> int:
+    """``repro validate FILE...``: the one gate for every JSON document."""
+    import json
+
+    from repro.common.schema import validate
+
+    status = 0
+    for path in args.files:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                document = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"{path}: cannot read: {type(exc).__name__}: {exc}")
+            status = 1
+            continue
+        violations = validate(document)
+        if violations:
+            print(f"{path}: INVALID ({len(violations)} violation(s))")
+            for violation in violations:
+                print(f"  {violation}")
+            status = 1
+        else:
+            kind = document.get("schema", "Chrome trace_event JSON")
+            print(f"{path}: valid {kind}")
+    return status
 
 
 def cmd_calibrate(args) -> int:
@@ -1078,6 +1097,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "series, and exposition/snapshot agreement; "
                               "exit 1 on any failure")
     metrics.set_defaults(func=cmd_metrics)
+
+    validate = sub.add_parser(
+        "validate", help="check JSON documents against their schema"
+    )
+    validate.add_argument("files", nargs="+", metavar="FILE",
+                          help="document to check (dispatched on its "
+                               "'schema' tag)")
+    validate.set_defaults(func=cmd_validate)
     return parser
 
 

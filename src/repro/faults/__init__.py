@@ -17,7 +17,6 @@ from repro.faults.chaos import (
     run_chaos_fleet,
     run_chaos_serve,
     run_chaos_sweep,
-    validate_chaos_serve_report,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "run_chaos_fleet",
     "run_chaos_serve",
     "run_chaos_sweep",
-    "validate_chaos_serve_report",
 ]

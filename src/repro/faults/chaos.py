@@ -27,6 +27,7 @@ import numpy as np
 from repro.common.errors import DMATimeoutError, ReproError
 from repro.common.parallel import parallel_map
 from repro.common.rng import derive_rng
+from repro.common.schema import CHAOS_SERVE_SCHEMA
 from repro.common.tables import TextTable
 from repro.hw.chip import CoreGroup
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -338,6 +339,7 @@ class ChaosServeReport:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
+            "schema": CHAOS_SERVE_SCHEMA,
             "seed": self.seed,
             "offered": self.offered,
             "completed": self.completed,
@@ -570,87 +572,6 @@ def run_chaos_serve(
     if flight_dump_path is not None and result.anomalous:
         result.flight_dump = telemetry.flight.dump(flight_dump_path)
     return result
-
-
-#: Schema for ``benchmarks/BENCH_chaos_serve.json``: required key -> type.
-#: (bool checked before int: Python bools are ints.)
-CHAOS_SERVE_SCHEMA: Dict[str, Tuple[type, ...]] = {
-    "seed": (int,),
-    "offered": (int,),
-    "completed": (int,),
-    "shed": (int,),
-    "rejected": (int,),
-    "deadline_misses": (int,),
-    "errors": (int,),
-    "wrong_answers": (int,),
-    "availability": (int, float),
-    "breaker_transitions": (list,),
-    "breaker_opened": (int,),
-    "breaker_half_opened": (int,),
-    "breaker_closed": (int,),
-    "retries": (int,),
-    "hedges": (int,),
-    "demotions": (dict,),
-    "fault_events": (dict,),
-    "p50_ms_fault": (int, float),
-    "p99_ms_fault": (int, float),
-    "p50_ms_clean": (int, float),
-    "p99_ms_clean": (int, float),
-    "counters_balanced": (bool,),
-}
-
-
-def validate_chaos_serve_report(payload: Dict[str, Any]) -> List[str]:
-    """Validate a chaos-serve report dict against the schema.
-
-    Returns a list of violations (empty = valid): missing/mistyped keys,
-    out-of-range availability, negative tallies, and a wrong-answer or
-    unbalanced-counter record — the invariants the CI stage enforces on
-    the committed benchmark JSON.
-    """
-    violations: List[str] = []
-    for key, types in CHAOS_SERVE_SCHEMA.items():
-        if key not in payload:
-            violations.append(f"missing key {key!r}")
-            continue
-        value = payload[key]
-        if bool not in types and isinstance(value, bool):
-            violations.append(f"key {key!r} must not be a bool, got {value!r}")
-        elif not isinstance(value, types):
-            violations.append(
-                f"key {key!r} must be {'/'.join(t.__name__ for t in types)}, "
-                f"got {type(value).__name__}"
-            )
-    if violations:
-        return violations
-    if not 0.0 <= payload["availability"] <= 1.0:
-        violations.append(f"availability {payload['availability']} not in [0, 1]")
-    for key in (
-        "offered", "completed", "shed", "rejected", "deadline_misses",
-        "errors", "wrong_answers", "breaker_opened", "breaker_half_opened",
-        "breaker_closed", "retries", "hedges",
-    ):
-        if payload[key] < 0:
-            violations.append(f"key {key!r} is negative: {payload[key]}")
-    answered = (
-        payload["completed"] + payload["shed"] + payload["rejected"]
-        + payload["deadline_misses"]
-    )
-    if answered > payload["offered"]:
-        violations.append(
-            f"answered {answered} exceeds offered {payload['offered']}"
-        )
-    if payload["wrong_answers"] != 0:
-        violations.append(
-            f"{payload['wrong_answers']} wrong answers recorded — the "
-            f"zero-wrong-answer contract is violated"
-        )
-    if not payload["counters_balanced"]:
-        violations.append("serve counters did not balance")
-    for label in payload["breaker_transitions"]:
-        if not isinstance(label, str) or "->" not in label:
-            violations.append(f"malformed breaker transition {label!r}")
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +822,3 @@ def run_chaos_fleet(
     report.telemetry = telemetry
     report.flight = telemetry.flight
     return report
-
-
-# The CLI schema gate lives in :mod:`repro.faults.validate` (a module the
-# package __init__ never imports, so ``python -m`` runs it cleanly).

@@ -13,10 +13,9 @@ The paper's introduction frames swDNN as the node-level substrate for
   replicas, sharded global batches, bucketed allreduce scheduled on a
   simulated timeline with comm/compute overlap, straggler/partition
   chaos, and ``comm.*`` telemetry;
-* :mod:`repro.scale.report` / :mod:`repro.scale.validate` — the
-  benchmark report both the ``train`` CLI and the bench emit (the
-  executed run plus weak/strong-scaling and overlap curves modeled on the
-  same timeline), and its schema gate.
+* :mod:`repro.scale.report` — the benchmark report both the ``train``
+  CLI and the bench emit (the executed run plus weak/strong-scaling and
+  overlap curves modeled on the same timeline).
 
 Every per-node compute time comes from :func:`repro.core.zoo.layer_cost`,
 the one per-layer training-cost path.
@@ -38,11 +37,7 @@ from repro.scale.cluster import (
     simulate_step_timeline,
     weights_bitwise_equal,
 )
-from repro.scale.report import (
-    DATAPARALLEL_SCHEMA,
-    build_dataparallel_report,
-    validate_dataparallel_report,
-)
+from repro.scale.report import build_dataparallel_report
 
 __all__ = [
     "InterconnectModel",
@@ -60,6 +55,4 @@ __all__ = [
     "simulate_step_timeline",
     "weights_bitwise_equal",
     "build_dataparallel_report",
-    "DATAPARALLEL_SCHEMA",
-    "validate_dataparallel_report",
 ]

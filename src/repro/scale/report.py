@@ -2,9 +2,9 @@
 
 One entry point, :func:`build_dataparallel_report`, shared by the
 ``python -m repro train`` CLI and ``benchmarks/test_bench_dataparallel.py``
-so both emit the same JSON shape (validated by
-:data:`DATAPARALLEL_SCHEMA` / ``python -m repro.scale.validate`` — the
-verify.sh gate).  The report has two halves:
+so both emit the same JSON document (tag ``repro.dataparallel/v1``,
+checked by ``python -m repro validate`` — the verify.sh gate).  The
+report has two halves:
 
 * **executed** — a real :class:`~repro.scale.cluster.ClusterTrainer` run
   on N nodes (losses, ``comm.*`` counters, simulated step times) plus the
@@ -21,12 +21,13 @@ verify.sh gate).  The report has two halves:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import PlanError
 from repro.common.rng import DEFAULT_SEED
+from repro.common.schema import DATAPARALLEL_SCHEMA
 from repro.core.layers import (
     AvgPool2D,
     Conv2D,
@@ -328,6 +329,7 @@ def build_dataparallel_report(
     ablation = overlap_rows(interconnect, topology, bucket_bytes, spec=spec)
     total_step = math.fsum(step_seconds)
     return {
+        "schema": DATAPARALLEL_SCHEMA,
         "seed": seed,
         "topology": topology,
         "bucket_bytes": bucket_bytes,
@@ -354,140 +356,3 @@ def build_dataparallel_report(
         "strong_scaling": strong,
         "overlap_ablation": ablation,
     }
-
-
-# ---------------------------------------------------------------------------
-# schema gate (CLI: python -m repro.scale.validate)
-# ---------------------------------------------------------------------------
-
-
-#: Overlapped-vs-serialized speedup every ablation row at >=16 nodes must clear.
-MIN_OVERLAP_SPEEDUP = 1.2
-#: Mild superlinear scaling (cache/batch effects) is fine; more is a bug.
-MAX_EFFICIENCY = 1.25
-
-#: Top-level report shape: key -> accepted types.
-DATAPARALLEL_SCHEMA: Dict[str, Tuple[type, ...]] = {
-    "seed": (int,),
-    "topology": (str,),
-    "bucket_bytes": (int,),
-    "global_batch": (int,),
-    "steps": (int,),
-    "nodes_executed": (int,),
-    "jobs": (int,),
-    "overlap": (bool,),
-    "losses": (list,),
-    "final_loss": (float, int),
-    "final_accuracy": (float, int),
-    "replicas_in_lockstep": (bool,),
-    "step_seconds": (list,),
-    "throughput_samples_per_second": (float, int),
-    "comm_compute_ratio": (float, int),
-    "comm_counters": (dict,),
-    "fault_events": (list,),
-    "parity": (dict,),
-    "weak_scaling": (list,),
-    "strong_scaling": (list,),
-    "overlap_ablation": (list,),
-}
-
-_PARITY_KEYS = (
-    "node_counts",
-    "global_batch",
-    "grain",
-    "steps",
-    "bitwise_identical",
-    "pairwise_vs_first",
-    "matches_plain_sgd",
-    "replicas_in_lockstep",
-)
-
-_SCALING_ROW_KEYS = ("nodes", "step_seconds", "efficiency")
-_ABLATION_ROW_KEYS = ("nodes", "overlapped_seconds", "serialized_seconds", "speedup")
-
-
-def _check_rows(
-    rows, name: str, keys: Tuple[str, ...], violations: List[str]
-) -> List[dict]:
-    good = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            violations.append(f"{name}[{i}] is not an object")
-            continue
-        missing = [k for k in keys if k not in row]
-        if missing:
-            violations.append(f"{name}[{i}] missing keys: {', '.join(missing)}")
-            continue
-        good.append(row)
-    nodes = [row["nodes"] for row in good]
-    if nodes != sorted(nodes):
-        violations.append(f"{name} rows are not sorted by ascending node count")
-    return good
-
-
-def validate_dataparallel_report(payload: object) -> List[str]:
-    """All schema violations in a data-parallel report (empty = valid)."""
-    violations: List[str] = []
-    if not isinstance(payload, dict):
-        return ["report is not a JSON object"]
-    for key, types in DATAPARALLEL_SCHEMA.items():
-        if key not in payload:
-            violations.append(f"missing key: {key}")
-        elif not isinstance(payload[key], types):
-            violations.append(
-                f"{key}: expected {'/'.join(t.__name__ for t in types)}, "
-                f"got {type(payload[key]).__name__}"
-            )
-    if violations:
-        return violations
-
-    if payload["nodes_executed"] < 1:
-        violations.append(f"nodes_executed must be >= 1, got {payload['nodes_executed']}")
-    if len(payload["losses"]) != payload["steps"]:
-        violations.append(
-            f"{len(payload['losses'])} losses recorded for {payload['steps']} steps"
-        )
-    if not payload["replicas_in_lockstep"]:
-        violations.append("replicas are not in bitwise lockstep after the run")
-    if payload["throughput_samples_per_second"] <= 0:
-        violations.append("throughput_samples_per_second must be positive")
-
-    parity = payload["parity"]
-    missing = [k for k in _PARITY_KEYS if k not in parity]
-    if missing:
-        violations.append(f"parity missing keys: {', '.join(missing)}")
-    elif parity["bitwise_identical"] is not True:
-        violations.append(
-            "parity.bitwise_identical is not true — N-node training does not "
-            "reproduce single-node weights"
-        )
-
-    for name in ("weak_scaling", "strong_scaling"):
-        rows = _check_rows(payload[name], name, _SCALING_ROW_KEYS, violations)
-        for row in rows:
-            eff = row["efficiency"]
-            if not 0.0 < eff <= MAX_EFFICIENCY:
-                violations.append(
-                    f"{name} nodes={row['nodes']}: efficiency {eff} outside "
-                    f"(0, {MAX_EFFICIENCY}]"
-                )
-
-    rows = _check_rows(
-        payload["overlap_ablation"], "overlap_ablation", _ABLATION_ROW_KEYS, violations
-    )
-    for row in rows:
-        if row["nodes"] >= 16 and row["speedup"] < MIN_OVERLAP_SPEEDUP:
-            violations.append(
-                f"overlap_ablation nodes={row['nodes']}: speedup {row['speedup']:.3f} "
-                f"below the {MIN_OVERLAP_SPEEDUP}x bar"
-            )
-
-    counters = payload["comm_counters"]
-    for key, value in counters.items():
-        if not isinstance(value, (int, float)) or value < 0:
-            violations.append(f"comm_counters[{key!r}] is not a non-negative number")
-    if payload["nodes_executed"] > 1 and counters.get("comm.link_bytes", 0) <= 0:
-        violations.append(
-            "multi-node run recorded no comm.link_bytes — traffic accounting broken"
-        )
-    return violations

@@ -44,7 +44,6 @@ from repro.telemetry.metrics import (
     metrics_snapshot,
     parse_openmetrics,
     to_openmetrics,
-    validate_metrics_snapshot,
 )
 from repro.telemetry.session import (
     NullTelemetry,
@@ -79,7 +78,6 @@ __all__ = [
     "metrics_snapshot",
     "parse_openmetrics",
     "to_openmetrics",
-    "validate_metrics_snapshot",
     "NullTelemetry",
     "NULL_TELEMETRY",
     "Telemetry",
@@ -91,8 +89,6 @@ __all__ = [
     "PID_WALL",
     "Span",
     "SpanTracer",
-    "validate_chrome_trace",
-    "validate_chrome_trace_file",
     # lazy (see __getattr__): DriftReport, DriftRow, drift_report
     "DriftReport",
     "DriftRow",
@@ -102,7 +98,6 @@ __all__ = [
     "OracleRow",
     "demmel_dinh_bound_bytes",
     "oracle_report",
-    "validate_oracle_report",
     # lazy (see __getattr__): the bench-regression sentinel
     "BenchMetric",
     "RegressionReport",
@@ -117,13 +112,7 @@ _LAZY_ORACLE = (
     "OracleRow",
     "demmel_dinh_bound_bytes",
     "oracle_report",
-    "validate_oracle_report",
     "DEFAULT_ATTAINMENT_THRESHOLD",
-)
-_LAZY_VALIDATE = (
-    "validate_chrome_trace",
-    "validate_chrome_trace_file",
-    "validate_profile_document",
 )
 _LAZY_REGRESS = (
     "BenchMetric",
@@ -137,8 +126,6 @@ _LAZY_REGRESS = (
 def __getattr__(name: str):
     # repro.telemetry.drift imports repro.core, which imports this package;
     # deferring the import breaks the cycle while keeping the flat API.
-    # validate is deferred so ``python -m repro.telemetry.validate`` does
-    # not re-execute a module the package already imported (runpy warning).
     if name in _LAZY_DRIFT:
         from repro.telemetry import drift as _drift
 
@@ -147,10 +134,6 @@ def __getattr__(name: str):
         from repro.telemetry import oracle as _oracle
 
         return getattr(_oracle, name)
-    if name in _LAZY_VALIDATE:
-        from repro.telemetry import validate as _validate
-
-        return getattr(_validate, name)
     if name in _LAZY_REGRESS:
         # regress is also a ``python -m`` entry point (runpy warning).
         from repro.telemetry import regress as _regress

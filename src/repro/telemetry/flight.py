@@ -34,11 +34,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
+from repro.common.schema import FLIGHT_SCHEMA, validate
+
 #: Default bounded ring length.
 DEFAULT_CAPACITY = 4096
-
-#: Schema tag stamped on ring dumps.
-DUMP_SCHEMA = "repro.flight/v1"
 
 #: Event kinds with no per-request scoping: included in a causal chain
 #: whenever they fire inside the request's lifetime window.
@@ -193,7 +192,7 @@ class FlightRecorder:
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "schema": DUMP_SCHEMA,
+                "schema": FLIGHT_SCHEMA,
                 "capacity": self.capacity,
                 "recorded": self._seq,
                 "dropped": self._seq - len(self._ring),
@@ -208,13 +207,17 @@ class FlightRecorder:
 
 
 def load_flight_dump(path: str) -> List[FlightEvent]:
-    """Re-hydrate a :meth:`FlightRecorder.dump` file into events."""
+    """Re-hydrate a :meth:`FlightRecorder.dump` file into events.
+
+    Raises ``ValueError`` listing every violation of the flight spec.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != DUMP_SCHEMA:
-        raise ValueError(
-            f"{path}: schema {payload.get('schema')!r} != {DUMP_SCHEMA!r}"
-        )
+    errors = validate(payload)
+    if not errors and payload.get("schema") != FLIGHT_SCHEMA:
+        errors = [f"schema: expected {FLIGHT_SCHEMA!r}, got {payload.get('schema')!r}"]
+    if errors:
+        raise ValueError(f"{path}: not a flight dump: " + "; ".join(errors))
     return [
         FlightEvent(
             seq=e["seq"], t_us=e["t_us"], kind=e["kind"], args=e.get("args", {})
@@ -247,7 +250,7 @@ class NullFlightRecorder:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "schema": DUMP_SCHEMA,
+            "schema": FLIGHT_SCHEMA,
             "capacity": 0,
             "recorded": 0,
             "dropped": 0,

@@ -29,8 +29,9 @@ Export paths:
   (counters as ``counter``, gauges as ``gauge``, histograms as
   ``summary`` with quantile labels), parseable by
   :func:`parse_openmetrics`;
-* :func:`metrics_snapshot` / :func:`validate_metrics_snapshot` — a JSON
-  document with the full bucket-level state, schema-checked;
+* :func:`metrics_snapshot` — a JSON document with the full bucket-level
+  state (tag ``repro.metrics/v1``, checked by
+  :func:`repro.common.schema.validate`);
 * :meth:`Metrics.render_dashboard` — the terminal dashboard behind
   ``python -m repro metrics``.
 """
@@ -42,6 +43,8 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.common.schema import METRICS_SCHEMA
+
 Number = Union[int, float]
 
 #: Geometric bucket growth: 2^(1/8) per bucket (~9% relative resolution).
@@ -52,9 +55,6 @@ QUANTILES = (0.5, 0.9, 0.99)
 
 #: Default bounded length of one time series ring.
 DEFAULT_SERIES_CAPACITY = 1024
-
-#: Schema tag stamped on JSON snapshots.
-SNAPSHOT_SCHEMA = "repro.metrics/v1"
 
 _LOG_GROWTH = math.log(BUCKET_GROWTH)
 
@@ -583,108 +583,17 @@ def parse_openmetrics(text: str) -> Dict[str, Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# JSON snapshot + schema validation + exposition round-trip
+# JSON snapshot + exposition round-trip
 # ---------------------------------------------------------------------------
 
 
 def metrics_snapshot(metrics, counters=None) -> Dict[str, Any]:
     """One JSON document: schema tag + counters + full metrics state."""
     return {
-        "schema": SNAPSHOT_SCHEMA,
+        "schema": METRICS_SCHEMA,
         "counters": dict(counters.as_dict()) if counters is not None else {},
         **metrics.as_dict(),
     }
-
-
-def validate_metrics_snapshot(payload: Any) -> List[str]:
-    """Violations of the snapshot schema; empty list = valid."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"snapshot must be an object, got {type(payload).__name__}"]
-    if payload.get("schema") != SNAPSHOT_SCHEMA:
-        errors.append(
-            f"schema must be {SNAPSHOT_SCHEMA!r}, got {payload.get('schema')!r}"
-        )
-    for section in ("counters", "histograms", "gauges", "series"):
-        if not isinstance(payload.get(section), dict):
-            errors.append(f"{section!r} must be an object")
-    if errors:
-        return errors
-    for name, value in payload["counters"].items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            errors.append(f"counter {name!r} must be a number, got {value!r}")
-    for name, h in payload["histograms"].items():
-        where = f"histogram {name!r}"
-        if not isinstance(h, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for key in ("count", "sum", "min", "max", "mean", "p50", "p90", "p99"):
-            value = h.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"{where}: {key!r} must be a number")
-        if isinstance(h.get("count"), int) and h["count"] < 0:
-            errors.append(f"{where}: count is negative")
-        buckets = h.get("buckets")
-        if not isinstance(buckets, dict):
-            errors.append(f"{where}: 'buckets' must be an object")
-        else:
-            total = sum(v for v in buckets.values() if isinstance(v, int))
-            expected = h.get("count", 0) - h.get("zero_count", 0)
-            if total != expected:
-                errors.append(
-                    f"{where}: bucket counts sum to {total}, "
-                    f"expected {expected}"
-                )
-        if (
-            isinstance(h.get("p50"), (int, float))
-            and isinstance(h.get("p99"), (int, float))
-            and h["p99"] < h["p50"]
-        ):
-            errors.append(f"{where}: p99 {h['p99']} below p50 {h['p50']}")
-    for name, g in payload["gauges"].items():
-        where = f"gauge {name!r}"
-        if not isinstance(g, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for key in ("value", "min", "max", "updates"):
-            value = g.get(key)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                errors.append(f"{where}: {key!r} must be a number")
-    for name, s in payload["series"].items():
-        where = f"series {name!r}"
-        if not isinstance(s, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        points = s.get("points")
-        if not isinstance(points, list):
-            errors.append(f"{where}: 'points' must be a list")
-            continue
-        if not isinstance(s.get("capacity"), int) or s["capacity"] < 1:
-            errors.append(f"{where}: 'capacity' must be a positive integer")
-        elif len(points) > s["capacity"]:
-            errors.append(
-                f"{where}: {len(points)} points exceed capacity {s['capacity']}"
-            )
-        previous_t = None
-        for i, point in enumerate(points):
-            if (
-                not isinstance(point, list)
-                or len(point) != 2
-                or not all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for x in point
-                )
-            ):
-                errors.append(f"{where}: points[{i}] must be [t, value]")
-                break
-            if previous_t is not None and point[0] < previous_t:
-                errors.append(
-                    f"{where}: points[{i}] goes back in time "
-                    f"({point[0]} < {previous_t})"
-                )
-                break
-            previous_t = point[0]
-    return errors
 
 
 def exposition_matches_snapshot(text: str, payload: Dict[str, Any]) -> List[str]:

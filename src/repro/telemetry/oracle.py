@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.common.schema import ORACLE_SCHEMA
 from repro.common.tables import TextTable
 from repro.common.units import MB
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -139,6 +140,7 @@ class OracleReport:
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready summary (benchmark artifacts, zoo verify stage)."""
         return {
+            "schema": ORACLE_SCHEMA,
             "threshold": self.threshold,
             "flagged": len(self.flagged),
             "rows": [
@@ -214,69 +216,3 @@ def oracle_report(
                 )
             )
     return OracleReport(rows=rows, threshold=threshold)
-
-
-def validate_oracle_report(data: Dict[str, Any]) -> List[str]:
-    """Schema/consistency check of :meth:`OracleReport.as_dict` output.
-
-    Returns a list of human-readable problems (empty = valid).  Used by the
-    ``zoo`` verify stage so benchmark artifacts cannot silently rot.
-    """
-    errors: List[str] = []
-    if not isinstance(data, dict):
-        return ["oracle report must be a dict"]
-    threshold = data.get("threshold")
-    if not isinstance(threshold, (int, float)) or threshold <= 0:
-        errors.append(f"threshold must be a positive number, got {threshold!r}")
-    rows = data.get("rows")
-    if not isinstance(rows, list) or not rows:
-        errors.append("rows must be a non-empty list")
-        return errors
-    known = {"direct", "im2col", "winograd"}
-    flagged_count = 0
-    for i, row in enumerate(rows):
-        where = f"rows[{i}]"
-        if not isinstance(row, dict):
-            errors.append(f"{where}: not a dict")
-            continue
-        p = row.get("params")
-        if not (isinstance(p, list) and len(p) == 5 and all(isinstance(v, int) for v in p)):
-            errors.append(f"{where}: params must be [ni, no, ro, kr, b] ints")
-        algo = row.get("algorithm")
-        if algo not in known:
-            errors.append(f"{where}: unknown algorithm {algo!r}")
-        for key in ("measured_bytes", "bound_bytes"):
-            v = row.get(key)
-            if not isinstance(v, int) or v <= 0:
-                errors.append(f"{where}: {key} must be a positive int, got {v!r}")
-        attainment = row.get("attainment")
-        if not isinstance(attainment, (int, float)) or attainment <= 0:
-            errors.append(f"{where}: attainment must be positive, got {attainment!r}")
-        elif (
-            isinstance(row.get("measured_bytes"), int)
-            and isinstance(row.get("bound_bytes"), int)
-            and row["measured_bytes"] > 0
-        ):
-            expect = row["bound_bytes"] / row["measured_bytes"]
-            if abs(attainment - expect) > 1e-9 * max(1.0, expect):
-                errors.append(
-                    f"{where}: attainment {attainment} != bound/measured {expect}"
-                )
-        if not isinstance(row.get("flagged"), bool):
-            errors.append(f"{where}: flagged must be a bool")
-        elif row["flagged"]:
-            flagged_count += 1
-    if isinstance(data.get("flagged"), int) and data["flagged"] != flagged_count:
-        errors.append(
-            f"flagged count {data['flagged']} disagrees with rows ({flagged_count})"
-        )
-    # Every layer needs its direct baseline row: attainment of the lowered
-    # families is only meaningful relative to it.
-    shapes: Dict[tuple, set] = {}
-    for row in rows:
-        if isinstance(row, dict) and isinstance(row.get("params"), list):
-            shapes.setdefault(tuple(row["params"]), set()).add(row.get("algorithm"))
-    for shape, algos in shapes.items():
-        if "direct" not in algos:
-            errors.append(f"shape {list(shape)} has no direct baseline row")
-    return errors

@@ -1,8 +1,14 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.common import schema
+
+BENCH_DIR = Path(__file__).resolve().parents[2] / "benchmarks"
 
 
 class TestInfo:
@@ -86,12 +92,10 @@ class TestProfile:
         assert "4 tile interval(s) traced" in out
 
     def test_trace_out_is_valid_chrome_json(self, capsys, tmp_path):
-        from repro.telemetry.validate import validate_chrome_trace_file
-
         trace = str(tmp_path / "profile.json")
         assert main(self.ARGS + ["--trace-out", trace]) == 0
         assert "valid chrome://tracing JSON" in capsys.readouterr().out
-        assert validate_chrome_trace_file(trace) == []
+        assert main(["validate", trace]) == 0
 
     def test_table3_row_selects_paper_config(self, capsys):
         assert main(["profile", "--row", "1", "--tiles", "2"]) == 0
@@ -107,6 +111,153 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "guarded probe: ran on" in out
         assert "faults." in out
+
+
+def _committed(name):
+    return lambda tmp_path: str(BENCH_DIR / name)
+
+
+def _write(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def _trace(tmp_path):
+    from repro.telemetry import SpanTracer
+
+    tracer = SpanTracer()
+    tracer.record_sim("tile[0].get", 0.0, 1.0, track="dma-get")
+    return tracer.write(str(tmp_path / "trace.json"))
+
+
+def _profile(tmp_path):
+    path = str(tmp_path / "profile.json")
+    assert main(TestProfile.ARGS + ["--json-out", path]) == 0
+    return path
+
+
+def _metrics(tmp_path):
+    from repro.telemetry import Metrics, metrics_snapshot
+    from repro.telemetry.counters import Counters
+
+    metrics, counters = Metrics(), Counters()
+    metrics.observe("serve.latency_ms", 1.5)
+    metrics.sample("serve.queue_depth", 0.0, 2)
+    counters.add("serve.requests.completed", 1)
+    return _write(tmp_path, "metrics.json", metrics_snapshot(metrics, counters))
+
+
+def _flight(tmp_path):
+    from repro.telemetry import FlightRecorder
+
+    flight = FlightRecorder()
+    flight.record("request.submit", request=1, priority=0)
+    return flight.dump(str(tmp_path / "flight.json"))
+
+
+def _oracle(tmp_path):
+    from repro.core.params import ConvParams
+    from repro.telemetry import oracle_report
+
+    small = ConvParams.from_output(ni=32, no=32, ro=16, co=16, kr=3, kc=3, b=16)
+    return _write(tmp_path, "oracle.json", oracle_report([small]).as_dict())
+
+
+#: One document of every kind: the committed records plus small fresh ones.
+DOCUMENTS = {
+    schema.FLEET_SCHEMA: _committed("BENCH_fleet.json"),
+    schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
+    schema.DATAPARALLEL_SCHEMA: _committed("BENCH_dataparallel.json"),
+    schema.PROFILE_SCHEMA: _profile,
+    schema.METRICS_SCHEMA: _metrics,
+    schema.FLIGHT_SCHEMA: _flight,
+    schema.ORACLE_SCHEMA: _oracle,
+    "Chrome trace_event JSON": _trace,
+}
+
+
+class TestValidate:
+    def test_every_tag_has_a_document(self):
+        assert set(schema.KINDS) < set(DOCUMENTS)
+
+    @pytest.mark.parametrize("kind", sorted(DOCUMENTS))
+    def test_document_of_every_kind_passes(self, kind, tmp_path, capsys):
+        path = DOCUMENTS[kind](tmp_path)
+        capsys.readouterr()
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == f"{path}: valid {kind}\n"
+
+    @pytest.mark.parametrize("document", [{"rows": []}, {"schema": "repro.x/v9"}])
+    def test_unknown_or_missing_tag(self, document, tmp_path, capsys):
+        path = _write(tmp_path, "doc.json", document)
+        assert main(["validate", path]) == 1
+        out = capsys.readouterr().out
+        assert "unknown tag" in out
+        assert all(tag in out for tag in schema.KINDS)
+
+    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe"])
+    def test_unreadable_file(self, content, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        if content is not None:
+            path.write_bytes(content.encode("latin-1"))
+        assert main(["validate", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{path}: cannot read")
+
+    def test_several_files_exit_with_the_worst_status(self, tmp_path, capsys):
+        good = str(BENCH_DIR / "BENCH_fleet.json")
+        bad = _write(tmp_path, "bad.json", {"schema": schema.FLEET_SCHEMA})
+        missing = str(tmp_path / "missing.json")
+        assert main(["validate", good, good]) == 0
+        assert main(["validate", good, bad, good]) == 1
+        assert main(["validate", missing, good]) == 1
+        out = capsys.readouterr().out
+        assert f"{bad}: INVALID" in out and f"{missing}: cannot read" in out
+
+
+def _committed_record(name):
+    with open(BENCH_DIR / name) as fh:
+        return json.load(fh)
+
+
+class TestSmokeGates:
+    """Each smoke reports a broken document once: the schema's line only."""
+
+    def test_train_smoke_reports_broken_parity_once(self, monkeypatch, capsys):
+        import repro.scale.report
+
+        record = _committed_record("BENCH_dataparallel.json")
+        record["parity"]["bitwise_identical"] = False
+        monkeypatch.setattr(
+            repro.scale.report, "build_dataparallel_report",
+            lambda **kwargs: record,
+        )
+        assert main(["train", "--smoke"]) == 1
+        failures = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("train smoke FAIL")
+        ]
+        assert len(failures) == 1 and "parity.bitwise_identical" in failures[0]
+
+    def test_chaos_smoke_reports_zero_availability_once(
+        self, monkeypatch, capsys
+    ):
+        import repro.faults
+        from repro.faults.chaos import ChaosServeReport
+
+        record = _committed_record("BENCH_chaos_serve.json")
+        fields = {k: record[k] for k in ChaosServeReport.__dataclass_fields__}
+        report = ChaosServeReport(**{**fields, "availability": 0.0})
+        monkeypatch.setattr(
+            repro.faults, "run_chaos_serve", lambda **kwargs: report
+        )
+        assert main(["serve", "--chaos", "--smoke"]) == 1
+        failures = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("chaos smoke FAIL")
+        ]
+        assert failures == ["chaos smoke FAIL: availability 0.00% below 99%"]
 
 
 class TestCalibrate:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.common.errors import PlanError
+from repro.common.schema import MIN_OVERLAP_SPEEDUP, validate
 from repro.scale.network import InterconnectModel
 from repro.scale.report import (
     build_dataparallel_report,
@@ -13,10 +14,6 @@ from repro.scale.report import (
     run_parity_check,
     strong_scaling_rows,
     weak_scaling_rows,
-)
-from repro.scale.validate import (
-    MIN_OVERLAP_SPEEDUP,
-    validate_dataparallel_report,
 )
 
 pytestmark = pytest.mark.scale
@@ -29,7 +26,7 @@ def report():
 
 class TestReport:
     def test_validates_clean(self, report):
-        assert validate_dataparallel_report(report) == []
+        assert validate(report) == []
 
     def test_json_serializable(self, report):
         json.dumps(report)
@@ -93,36 +90,36 @@ class TestValidator:
     def test_missing_key_flagged(self, report):
         broken = copy.deepcopy(report)
         del broken["parity"]
-        assert any("parity" in v for v in validate_dataparallel_report(broken))
+        assert any("parity" in v for v in validate(broken))
 
     def test_wrong_type_flagged(self, report):
         broken = self._broken(report, topology=7)
-        assert any("topology" in v for v in validate_dataparallel_report(broken))
+        assert any("topology" in v for v in validate(broken))
 
     def test_broken_parity_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["parity"]["bitwise_identical"] = False
         assert any(
-            "bitwise_identical" in v for v in validate_dataparallel_report(broken)
+            "bitwise_identical" in v for v in validate(broken)
         )
 
     def test_slow_overlap_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["overlap_ablation"][0]["speedup"] = 1.05
-        assert any("1.2x bar" in v for v in validate_dataparallel_report(broken))
+        assert any("1.2x bar" in v for v in validate(broken))
 
     def test_unsorted_curve_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["weak_scaling"].reverse()
-        assert any("sorted" in v for v in validate_dataparallel_report(broken))
+        assert any("sorted" in v for v in validate(broken))
 
     def test_missing_traffic_flagged(self, report):
         broken = copy.deepcopy(report)
         broken["comm_counters"]["comm.link_bytes"] = 0
-        assert any("link_bytes" in v for v in validate_dataparallel_report(broken))
+        assert any("link_bytes" in v for v in validate(broken))
 
     def test_non_object_rejected(self):
-        assert validate_dataparallel_report([]) == ["report is not a JSON object"]
+        assert validate([]) == ["document: expected object, got list"]
 
 
 class TestParityCheck:

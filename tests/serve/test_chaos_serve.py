@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.faults import (
-    default_chaos_serve_faults,
-    run_chaos_serve,
-    validate_chaos_serve_report,
-)
+from repro.common.schema import validate
+from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
 pytestmark = [pytest.mark.serve, pytest.mark.faults]
 
@@ -56,7 +53,7 @@ class TestChaosServeRun:
         assert report.p50_ms_clean <= report.p99_ms_clean
 
     def test_as_dict_passes_schema(self, report):
-        assert validate_chaos_serve_report(report.as_dict()) == []
+        assert validate(report.as_dict()) == []
 
     def test_render_summarizes(self, report):
         text = report.render()
@@ -72,35 +69,35 @@ class TestSchemaValidation:
     def test_missing_key_reported(self, report):
         payload = self._valid(report)
         del payload["availability"]
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("availability" in e for e in errors)
 
     def test_wrong_type_reported(self, report):
         payload = self._valid(report)
         payload["completed"] = "many"
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("completed" in e for e in errors)
 
     def test_wrong_answers_must_be_zero(self, report):
         payload = self._valid(report)
         payload["wrong_answers"] = 1
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("wrong answer" in e for e in errors)
 
     def test_availability_bounds_checked(self, report):
         payload = self._valid(report)
         payload["availability"] = 1.5
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("availability" in e for e in errors)
 
     def test_unbalanced_counters_reported(self, report):
         payload = self._valid(report)
         payload["counters_balanced"] = False
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("balance" in e for e in errors)
 
     def test_malformed_transition_labels_reported(self, report):
         payload = self._valid(report)
         payload["breaker_transitions"] = ["opened!"]
-        errors = validate_chaos_serve_report(payload)
+        errors = validate(payload)
         assert any("transition" in e for e in errors)

@@ -40,8 +40,8 @@ from repro.serve import (
     run_fleet_load,
     synthetic_images,
 )
+from repro.common.schema import validate
 from repro.serve.fleet import ROUTE_AFFINITY, ROUTE_COLD, ROUTE_FAILOVER, ROUTE_SPILL
-from repro.serve.validate import validate_fleet_report
 from repro.telemetry import Telemetry, use_telemetry
 
 pytestmark = pytest.mark.serve
@@ -483,7 +483,7 @@ class TestFleetReportSchema:
         }
 
     def test_valid_payload_passes(self):
-        assert validate_fleet_report(self._payload()) == []
+        assert validate(self._payload()) == []
 
     @pytest.mark.parametrize(
         "mutate, needle",
@@ -500,7 +500,7 @@ class TestFleetReportSchema:
     def test_each_bar_is_enforced(self, mutate, needle):
         payload = self._payload()
         mutate(payload)
-        violations = validate_fleet_report(payload)
+        violations = validate(payload)
         assert violations
         assert any(needle in v for v in violations)
 

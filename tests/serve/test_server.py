@@ -200,6 +200,6 @@ class TestRequestSpans:
         assert names.count("serve.execute") == 5
         assert "serve.queued" in names
         # The retroactive spans form a valid Chrome trace.
-        from repro.telemetry import validate_chrome_trace
+        from repro.common.schema import validate
 
-        assert validate_chrome_trace(telem.tracer.to_chrome_trace()) == []
+        assert validate(telem.tracer.to_chrome_trace()) == []

@@ -1,7 +1,10 @@
 """Flight recorder: ring bounds, causal chains, dump round-trip."""
 
+import json
+
 import pytest
 
+from repro.common.schema import FLIGHT_SCHEMA
 from repro.telemetry import (
     NULL_FLIGHT,
     FlightEvent,
@@ -9,7 +12,7 @@ from repro.telemetry import (
     NullFlightRecorder,
     load_flight_dump,
 )
-from repro.telemetry.flight import DUMP_SCHEMA, EVENT_KINDS, GLOBAL_KINDS
+from repro.telemetry.flight import EVENT_KINDS, GLOBAL_KINDS
 
 
 class TestRecording:
@@ -109,6 +112,16 @@ class TestCausalChain:
         assert "error=DMATimeoutError" in text
 
 
+def _without_kind(payload):
+    del payload["events"][0]["kind"]
+    return payload
+
+
+def _string_seq(payload):
+    payload["events"][0]["seq"] = "one"
+    return payload
+
+
 class TestDumpRoundTrip:
     def test_dump_and_load(self, tmp_path):
         fr = _scripted_ring()
@@ -125,7 +138,7 @@ class TestDumpRoundTrip:
         for i in range(5):
             fr.record("cluster.step", step=i)
         payload = fr.as_dict()
-        assert payload["schema"] == DUMP_SCHEMA
+        assert payload["schema"] == FLIGHT_SCHEMA
         assert payload["recorded"] == 5
         assert payload["dropped"] == 3
         assert len(payload["events"]) == 2
@@ -134,6 +147,21 @@ class TestDumpRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/v9", "events": []}')
         with pytest.raises(ValueError, match="schema"):
+            load_flight_dump(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (_without_kind, r"events\[0\]\.kind"),
+            (_string_seq, r"events\[0\]\.seq"),
+            (lambda d: [d], "expected object"),
+        ],
+        ids=["no_kind", "string_seq", "top_level_list"],
+    )
+    def test_load_reports_malformed_dumps(self, tmp_path, mutate, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(mutate(_scripted_ring().as_dict())))
+        with pytest.raises(ValueError, match=needle):
             load_flight_dump(str(path))
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.common.schema import validate
 from repro.telemetry import (
     NULL_METRICS,
     Gauge,
@@ -15,7 +16,6 @@ from repro.telemetry import (
     metrics_snapshot,
     parse_openmetrics,
     to_openmetrics,
-    validate_metrics_snapshot,
 )
 from repro.telemetry.counters import Counters
 from repro.telemetry.metrics import (
@@ -263,17 +263,17 @@ class TestSnapshot:
     def test_snapshot_validates_and_matches_exposition(self):
         m, c = _populated()
         snap = metrics_snapshot(m, c)
-        assert validate_metrics_snapshot(snap) == []
+        assert validate(snap) == []
         # JSON round-trip must survive the validator too (tuples -> lists).
         snap = json.loads(json.dumps(snap))
-        assert validate_metrics_snapshot(snap) == []
+        assert validate(snap) == []
         assert exposition_matches_snapshot(to_openmetrics(m, c), snap) == []
 
     def test_schema_tag_required(self):
         m, _ = _populated()
         snap = metrics_snapshot(m)
         snap["schema"] = "bogus"
-        assert any("schema" in e for e in validate_metrics_snapshot(snap))
+        assert any("schema" in e for e in validate(snap))
 
     def test_bucket_sum_mismatch_flagged(self):
         m, _ = _populated()
@@ -281,14 +281,14 @@ class TestSnapshot:
         hist = snap["histograms"]["serve.latency_ms"]
         first = next(iter(hist["buckets"]))
         hist["buckets"][first] += 1
-        assert any("bucket" in e for e in validate_metrics_snapshot(snap))
+        assert any("bucket" in e for e in validate(snap))
 
     def test_time_travel_flagged(self):
         m, _ = _populated()
         snap = json.loads(json.dumps(metrics_snapshot(m)))
         points = snap["series"]["serve.queue_depth"]["points"]
         points[1][0] = points[0][0] - 1.0
-        assert any("back in time" in e for e in validate_metrics_snapshot(snap))
+        assert any("back in time" in e for e in validate(snap))
 
     def test_exposition_mismatch_named(self):
         m, c = _populated()

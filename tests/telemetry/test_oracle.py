@@ -4,13 +4,10 @@ import math
 
 import pytest
 
+from repro.common.schema import validate
 from repro.core.params import ConvParams
 from repro.hw.spec import DEFAULT_SPEC
-from repro.telemetry import (
-    demmel_dinh_bound_bytes,
-    oracle_report,
-    validate_oracle_report,
-)
+from repro.telemetry import demmel_dinh_bound_bytes, oracle_report
 from repro.telemetry.oracle import OracleRow
 
 SMALL = ConvParams.from_output(ni=32, no=32, ro=16, co=16, kr=3, kc=3, b=16)
@@ -97,7 +94,7 @@ class TestOracleReport:
             assert algo in text
 
     def test_as_dict_validates(self, report):
-        assert validate_oracle_report(report.as_dict()) == []
+        assert validate(report.as_dict()) == []
 
     def test_restricted_algorithms(self):
         report = oracle_report([SMALL], algorithms=("direct", "winograd"))
@@ -113,30 +110,30 @@ class TestValidation:
         return oracle_report([SMALL]).as_dict()
 
     def test_not_a_dict(self):
-        assert validate_oracle_report([]) != []
+        assert validate([]) != []
 
     def test_empty_rows(self):
         data = self._valid()
         data["rows"] = []
-        assert any("rows" in e for e in validate_oracle_report(data))
+        assert any("rows" in e for e in validate(data))
 
     def test_unknown_algorithm(self):
         data = self._valid()
         data["rows"][0]["algorithm"] = "fft"
-        assert any("fft" in e for e in validate_oracle_report(data))
+        assert any("fft" in e for e in validate(data))
 
     def test_attainment_consistency(self):
         data = self._valid()
         data["rows"][0]["attainment"] = 0.123456
-        assert any("attainment" in e for e in validate_oracle_report(data))
+        assert any("attainment" in e for e in validate(data))
 
     def test_missing_direct_baseline(self):
         data = self._valid()
         data["rows"] = [r for r in data["rows"] if r["algorithm"] != "direct"]
         data["flagged"] = sum(1 for r in data["rows"] if r["flagged"])
-        assert any("direct baseline" in e for e in validate_oracle_report(data))
+        assert any("direct baseline" in e for e in validate(data))
 
     def test_flagged_count_consistency(self):
         data = self._valid()
         data["flagged"] = 99
-        assert any("flagged count" in e for e in validate_oracle_report(data))
+        assert any("flagged count" in e for e in validate(data))

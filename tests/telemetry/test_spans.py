@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+from repro.common.schema import validate
 from repro.telemetry import NULL_TRACER, PID_SIM, PID_WALL, SpanTracer
 from repro.telemetry.spans import TID_HOST
-from repro.telemetry.validate import validate_chrome_trace, validate_chrome_trace_file
 
 
 class TestSpanRecording:
@@ -98,16 +98,17 @@ class TestChromeExport:
 
     def test_validates_and_round_trips(self, tmp_path):
         tracer, data = self._trace()
-        assert validate_chrome_trace(data) == []
+        assert validate(data) == []
         path = tracer.write(str(tmp_path / "trace.json"))
-        assert validate_chrome_trace_file(path) == []
         with open(path) as fh:
-            assert json.load(fh) == data
+            written = json.load(fh)
+        assert validate(written) == []
+        assert written == data
 
     def test_validator_flags_garbage(self):
-        assert validate_chrome_trace({"nope": 1})
+        assert validate({"nope": 1})
         bad_event = {"traceEvents": [{"ph": "X", "name": "x"}]}
-        assert validate_chrome_trace(bad_event)
+        assert validate(bad_event)
 
 
 class TestNullTracer:

@@ -1,15 +1,12 @@
-"""Trace/profile validator edge cases: the corners viewers choke on."""
+"""Trace/profile schema edge cases: the corners viewers choke on."""
 
 import json
 
 import pytest
 
-from repro.telemetry import SpanTracer, validate_chrome_trace
-from repro.telemetry.validate import (
-    PROFILE_SCHEMA,
-    main,
-    validate_profile_document,
-)
+from repro.__main__ import main
+from repro.common.schema import PROFILE_SCHEMA, validate
+from repro.telemetry import SpanTracer
 
 
 def _event(**overrides):
@@ -25,45 +22,45 @@ def _metadata(pid, tid, label, name="thread_name"):
 
 class TestCompleteEventEdges:
     def test_empty_trace_is_valid(self):
-        assert validate_chrome_trace({"traceEvents": []}) == []
+        assert validate({"traceEvents": []}) == []
 
     def test_zero_duration_is_valid(self):
         # Instantaneous spans happen (a cache-hit lookup rounds to 0us).
         trace = {"traceEvents": [_event(dur=0.0), _event(ts=0.0)]}
-        assert validate_chrome_trace(trace) == []
+        assert validate(trace) == []
 
     def test_negative_duration_flagged(self):
-        errors = validate_chrome_trace({"traceEvents": [_event(dur=-2.0)]})
-        assert any("'dur' must be >= 0" in e for e in errors)
+        errors = validate({"traceEvents": [_event(dur=-2.0)]})
+        assert any("traceEvents[0].dur: must be >= 0" in e for e in errors)
 
     def test_negative_timestamp_flagged(self):
-        errors = validate_chrome_trace({"traceEvents": [_event(ts=-1.0)]})
-        assert any("'ts' must be >= 0" in e for e in errors)
+        errors = validate({"traceEvents": [_event(ts=-1.0)]})
+        assert any("traceEvents[0].ts: must be >= 0" in e for e in errors)
 
     def test_boolean_duration_is_not_a_number(self):
-        errors = validate_chrome_trace({"traceEvents": [_event(dur=True)]})
-        assert any("'dur' must be a number" in e for e in errors)
+        errors = validate({"traceEvents": [_event(dur=True)]})
+        assert any("traceEvents[0].dur: expected number" in e for e in errors)
 
     def test_non_integer_pid_flagged(self):
-        errors = validate_chrome_trace({"traceEvents": [_event(pid="host")]})
-        assert any("'pid' must be an integer" in e for e in errors)
+        errors = validate({"traceEvents": [_event(pid="host")]})
+        assert any("traceEvents[0].pid: expected int" in e for e in errors)
 
     def test_non_object_event_flagged(self):
-        errors = validate_chrome_trace({"traceEvents": ["not-an-event"]})
-        assert any("must be an object" in e for e in errors)
+        errors = validate({"traceEvents": ["not-an-event"]})
+        assert any("traceEvents[0]: expected object" in e for e in errors)
 
 
 class TestDuplicateMetadata:
     def test_identical_redeclaration_is_valid(self):
         # Merging two traces repeats the shared track declarations.
         trace = {"traceEvents": [_metadata(1, 0, "host"), _metadata(1, 0, "host")]}
-        assert validate_chrome_trace(trace) == []
+        assert validate(trace) == []
 
     def test_conflicting_labels_flagged(self):
         trace = {
             "traceEvents": [_metadata(1, 0, "host"), _metadata(1, 0, "worker")]
         }
-        errors = validate_chrome_trace(trace)
+        errors = validate(trace)
         assert len(errors) == 1
         assert "conflicts" in errors[0]
         assert "'host'" in errors[0] and "'worker'" in errors[0]
@@ -72,7 +69,7 @@ class TestDuplicateMetadata:
         trace = {
             "traceEvents": [_metadata(1, 0, "host"), _metadata(1, 1, "host")]
         }
-        assert validate_chrome_trace(trace) == []
+        assert validate(trace) == []
 
 
 class TestMergedTraceRoundTrip:
@@ -80,7 +77,7 @@ class TestMergedTraceRoundTrip:
         # A serve-side wall trace and a cluster-side sim trace, merged the
         # way an offline viewer session does: concatenate traceEvents.
         # The shared process/thread metadata is redeclared identically —
-        # the validator must accept that, and the CLI must exit 0.
+        # the checker must accept that, and the CLI must exit 0.
         serve = SpanTracer()
         serve.record_wall("request", 0.0, 120.0, track="serve", request=1)
         serve.record_wall("execute", 40.0, 110.0, track="serve", batch=0)
@@ -91,10 +88,10 @@ class TestMergedTraceRoundTrip:
         merged["traceEvents"] = (
             merged["traceEvents"] + cluster.to_chrome_trace()["traceEvents"]
         )
-        assert validate_chrome_trace(merged) == []
+        assert validate(merged) == []
         path = tmp_path / "merged.json"
         path.write_text(json.dumps(merged))
-        assert main([str(path)]) == 0
+        assert main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "valid Chrome trace_event JSON" in out
 
@@ -104,7 +101,7 @@ class TestMergedTraceRoundTrip:
         }
         path = tmp_path / "conflict.json"
         path.write_text(json.dumps(trace))
-        assert main([str(path)]) == 1
+        assert main(["validate", str(path)]) == 1
         assert "conflicts" in capsys.readouterr().out
 
 
@@ -125,41 +122,44 @@ def _profile_doc():
 
 class TestProfileDocument:
     def test_valid_document_passes(self):
-        assert validate_profile_document(_profile_doc()) == []
+        assert validate(_profile_doc()) == []
 
     def test_schema_tag_checked(self):
         doc = _profile_doc()
         doc["schema"] = "repro.profile/v0"
-        assert any("'schema'" in e for e in validate_profile_document(doc))
+        assert any(e.startswith("schema:") for e in validate(doc))
 
     def test_flagged_count_cross_checked(self):
         doc = _profile_doc()
         doc["drift"]["flagged"] = 2
-        errors = validate_profile_document(doc)
+        errors = validate(doc)
         assert any("drift.flagged" in e and "1 row(s)" in e for e in errors)
 
     def test_counter_values_must_be_numbers(self):
         doc = _profile_doc()
         doc["counters"]["dma.bytes"] = "lots"
-        assert any("dma.bytes" in e for e in validate_profile_document(doc))
+        assert any("dma.bytes" in e for e in validate(doc))
 
     def test_boolean_chip_gflops_rejected(self):
         doc = _profile_doc()
         doc["chip_gflops"] = True
-        assert any("chip_gflops" in e for e in validate_profile_document(doc))
+        assert any("chip_gflops" in e for e in validate(doc))
 
     def test_cli_profile_mode(self, tmp_path, capsys):
         good = tmp_path / "profile.json"
         good.write_text(json.dumps(_profile_doc()))
-        assert main(["--profile", str(good)]) == 0
+        assert main(["validate", str(good)]) == 0
         assert PROFILE_SCHEMA in capsys.readouterr().out
         bad_doc = _profile_doc()
         del bad_doc["oracle"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(bad_doc))
-        assert main(["--profile", str(bad)]) == 1
-        assert "invalid profile document" in capsys.readouterr().out
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "oracle: required key is missing" in out
 
     def test_cli_usage(self, capsys):
-        assert main([]) == 2
-        assert "usage" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["validate"])
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err

@@ -9,10 +9,11 @@ schema-valid attainment row for every legal family of the shape.
 import numpy as np
 import pytest
 
+from repro.common.schema import validate
 from repro.core.algorithms import engine_for_plan
 from repro.core.params import ConvParams
 from repro.core.reference import conv2d_reference
-from repro.telemetry import oracle_report, validate_oracle_report
+from repro.telemetry import oracle_report
 from repro.tune import PlanCache, autotune
 
 pytestmark = pytest.mark.zoo
@@ -60,7 +61,7 @@ def test_oracle_schema_on_table3_row():
     assert {row.algorithm for row in report.rows} == {
         "direct", "im2col", "winograd",
     }
-    errors = validate_oracle_report(report.as_dict())
+    errors = validate(report.as_dict())
     assert errors == []
     for row in report.rows:
         assert not row.undercuts_bound
