@@ -28,8 +28,11 @@ serve:
 
 fleet:
 	python -m repro serve --chips 4 --smoke
-	python -m repro serve --chips 3 --chaos --requests 48 --smoke
-	python -m repro validate benchmarks/BENCH_fleet.json
+	python -m repro serve --chips 3 --chaos --requests 48 --smoke \
+	    --json-out /tmp/repro-chaos-fleet.json \
+	    --flight-out /tmp/repro-chaos-fleet-flight.json
+	python -m repro validate /tmp/repro-chaos-fleet.json \
+	    /tmp/repro-chaos-fleet-flight.json benchmarks/BENCH_fleet.json
 
 chaos:
 	python -m repro serve --chaos --smoke --json-out /tmp/repro-chaos.json \

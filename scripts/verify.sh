@@ -43,12 +43,16 @@ echo "== multi-chip fleet smoke + schema gate (timeout ${FLEET_TIMEOUT}s) =="
 # The fleet smoke routes a skewed multi-shape trace across 4 simulated
 # chips and asserts balanced per-chip counters and a zero-wrong-answer
 # parity audit; the chaos variant kills a home chip mid-run and asserts
-# route-around.  The schema gate then checks the committed benchmark
-# record (scaling at matched p99, affinity hit rate, bit-identity).
+# route-around.  The schema gate then checks the chaos report, its
+# flight-recorder ring and the committed benchmark record (scaling at
+# matched p99, affinity hit rate, bit-identity).
 timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 4 --smoke
 timeout "${FLEET_TIMEOUT}" python -m repro serve --chips 3 --chaos \
-    --requests 48 --smoke
-timeout "${FLEET_TIMEOUT}" python -m repro validate benchmarks/BENCH_fleet.json
+    --requests 48 --smoke --json-out "${WORK}/chaos_fleet.json" \
+    --flight-out "${WORK}/chaos_fleet_flight.json"
+timeout "${FLEET_TIMEOUT}" python -m repro validate \
+    "${WORK}/chaos_fleet.json" "${WORK}/chaos_fleet_flight.json" \
+    benchmarks/BENCH_fleet.json
 
 echo "== chaos-serve smoke + schema gate (timeout ${CHAOS_TIMEOUT}s) =="
 # The smoke asserts availability under seeded dma+cpe faults and the

@@ -27,9 +27,10 @@ Subcommands::
                                  queue-depth time series, and the OpenMetrics
                                  exposition
     validate FILE...             check JSON documents (profile, trace, metrics,
-                                 flight, oracle, chaos-serve, data-parallel,
-                                 fleet) against repro.common.schema; exit 1
-                                 if any file is unreadable or invalid
+                                 flight, oracle, chaos-serve, chaos-fleet,
+                                 data-parallel, fleet) against
+                                 repro.common.schema; exit 1 if any file is
+                                 unreadable or invalid
 """
 
 from __future__ import annotations
@@ -556,10 +557,26 @@ def _cmd_serve_fleet(args) -> int:
     return 0
 
 
-def _cmd_serve_fleet_chaos(args) -> int:
-    """``repro serve --chips N --chaos``: chip loss mid-run + route-around."""
+def _write_chaos_outputs(args, report) -> None:
+    """``--json-out`` gets a chaos report, ``--flight-out`` its flight ring."""
     import json
 
+    if args.json_out:
+        with open(args.json_out, "w") as fh:
+            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
+        print(f"report written to {args.json_out}")
+    if args.flight_out:
+        report.flight.dump(args.flight_out)
+        print(
+            f"flight ring written to {args.flight_out} "
+            f"({report.flight.recorded} event(s), "
+            f"{report.flight.dropped} dropped)"
+        )
+
+
+def _cmd_serve_fleet_chaos(args) -> int:
+    """``repro serve --chips N --chaos``: chip loss mid-run + route-around."""
+    from repro.common.schema import validate
     from repro.faults import run_chaos_fleet
 
     report = run_chaos_fleet(
@@ -570,20 +587,9 @@ def _cmd_serve_fleet_chaos(args) -> int:
         max_batch=min(args.max_batch, 8),
     )
     print(report.render())
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        print(f"report written to {args.json_out}")
+    _write_chaos_outputs(args, report)
     if args.smoke:
-        failures = []
-        if not report.zero_wrong_answers:
-            failures.append(f"{report.wrong_answers} wrong answers")
-        if not report.counters_balanced:
-            failures.append("fleet counters do not balance")
-        if report.failovers < 1:
-            failures.append("chip loss produced no failover routing")
-        if report.errors:
-            failures.append(f"{report.errors} untyped errors")
+        failures = validate(report.as_dict())
         if failures:
             for failure in failures:
                 print(f"fleet chaos smoke FAIL: {failure}")
@@ -597,8 +603,6 @@ def _cmd_serve_fleet_chaos(args) -> int:
 
 def _cmd_serve_chaos(args) -> int:
     """``repro serve --chaos``: seeded fault plan against a live server."""
-    import json
-
     from repro.common.schema import validate
     from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
@@ -618,18 +622,7 @@ def _cmd_serve_chaos(args) -> int:
         ),
     )
     print(report.render())
-    if args.json_out:
-        payload = report.as_dict()
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.json_out}")
-    if args.flight_out:
-        report.flight.dump(args.flight_out)
-        print(
-            f"flight ring written to {args.flight_out} "
-            f"({report.flight.recorded} event(s), "
-            f"{report.flight.dropped} dropped)"
-        )
+    _write_chaos_outputs(args, report)
     if args.smoke:
         failures = validate(report.as_dict())
         if report.availability < 0.99:

@@ -438,45 +438,6 @@ class SwDNNHandle:
         )
         return self._backward_for(params).grad_filter(x, grad_out)
 
-    def make_server(
-        self,
-        model,
-        max_batch: int = 8,
-        max_wait_s: float = 0.002,
-        queue_depth: int = 64,
-        workers: Optional[int] = None,
-        default_deadline_s: Optional[float] = None,
-        plan_family: str = "image",
-    ):
-        """A dynamic-batching :class:`~repro.serve.server.InferenceServer`
-        inheriting this handle's device and execution knobs.
-
-        The server's engine pool runs on the handle's spec/backend, in
-        guarded mode when the handle is guarded, tuned through the handle's
-        plan cache when autotuning is on, and sharded across core groups
-        when ``batch_shards`` is set.  The returned server is not started —
-        call :meth:`~repro.serve.server.InferenceServer.start` (or use it
-        as a context manager) to warm the pool and spawn workers.
-        """
-        from repro.serve import InferenceServer, ServerConfig
-
-        config = ServerConfig(
-            max_batch=max_batch,
-            max_wait_s=max_wait_s,
-            queue_depth=queue_depth,
-            workers=workers,
-            backend=self.backend,
-            guarded=self.guarded,
-            autotune=self.autotune,
-            plan_cache=self._tune_cache() if self.autotune else False,
-            plan_family=plan_family,
-            batch_shards=self.batch_shards or 1,
-            default_deadline_s=default_deadline_s,
-            spec=self.spec,
-            fault_plan=self.fault_plan,
-        )
-        return InferenceServer(model, config, telemetry=self.telemetry)
-
     def gemm(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, TimingReport]:
         """Dense matmul (fully-connected layers) through swGEMM."""
         a = np.asarray(a, dtype=np.float64)

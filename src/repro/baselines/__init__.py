@@ -1,21 +1,14 @@
-"""Baselines the paper compares against (or rejects by analysis).
+"""Baselines the paper compares against.
 
-* :mod:`repro.baselines.gload` — the direct-memory-access design point
-  (Fig. 2, middle column): every operand fetched over the 8 GB/s gload
-  interface, no reuse, 0.33% of peak;
-* :mod:`repro.baselines.im2col` — GEMM-lowered convolution (the
-  cuDNN-style spatial method of Section III-C) with its traffic blow-up;
 * :mod:`repro.baselines.k40m` — a calibrated performance model of
   cuDNNv5.1 on a Tesla K40m, the GPU comparator of Figs. 7 and 9.
+
+The spatial-domain alternatives of Section III-C (im2col lowering and
+F(2x2, 3x3) Winograd) run as tuned engines in the algorithm zoo
+(:mod:`repro.core.algorithms`); the direct gload design point of Fig. 2
+is :meth:`repro.perf.model.PerformanceModel.direct_memory`.
 """
 
-from repro.baselines.gload import GloadConvolution, gload_estimate
-from repro.baselines.im2col import Im2colConvolution
 from repro.baselines.k40m import K40mCuDNNModel
 
-__all__ = [
-    "GloadConvolution",
-    "gload_estimate",
-    "Im2colConvolution",
-    "K40mCuDNNModel",
-]
+__all__ = ["K40mCuDNNModel"]

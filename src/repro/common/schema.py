@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+CHAOS_FLEET_SCHEMA = "repro.chaos_fleet/v1"
 CHAOS_SERVE_SCHEMA = "repro.chaos_serve/v1"
 DATAPARALLEL_SCHEMA = "repro.dataparallel/v1"
 FLEET_SCHEMA = "repro.fleet/v1"
@@ -158,17 +159,20 @@ def _tally(report: Dict[str, Any], where: str) -> List[str]:
     ]
 
 
-def _oracle_rules(doc: Dict[str, Any]) -> List[str]:
-    errors = _tally(doc, "")
+def _oracle_rules(doc: Dict[str, Any], prefix: str = "") -> List[str]:
+    """Oracle invariants; ``prefix`` places a section inside a larger document."""
+    errors = _tally(doc, prefix)
     if doc["threshold"] <= 0:
-        errors.append(f"threshold: must be positive, got {doc['threshold']}")
+        errors.append(
+            f"{prefix}threshold: must be positive, got {doc['threshold']}"
+        )
     if not doc["rows"]:
-        errors.append("rows: must be non-empty")
+        errors.append(f"{prefix}rows: must be non-empty")
     # Every layer needs its direct baseline row: attainment of the lowered
     # families is only meaningful relative to it.
     shapes: Dict[Tuple[int, ...], set] = {}
     for i, row in enumerate(doc["rows"]):
-        where, algorithm = f"rows[{i}]", row["algorithm"]
+        where, algorithm = f"{prefix}rows[{i}]", row["algorithm"]
         if len(row["params"]) != 5:
             errors.append(f"{where}.params: must be [ni, no, ro, kr, b]")
         if algorithm not in _ALGORITHMS:
@@ -186,12 +190,15 @@ def _oracle_rules(doc: Dict[str, Any]) -> List[str]:
         shapes.setdefault(tuple(row["params"]), set()).add(algorithm)
     for shape, algorithms in shapes.items():
         if "direct" not in algorithms:
-            errors.append(f"rows: shape {list(shape)} has no direct baseline row")
+            errors.append(
+                f"{prefix}rows: shape {list(shape)} has no direct baseline row"
+            )
     return errors
 
 
 def _profile_rules(doc: Dict[str, Any]) -> List[str]:
-    errors = _tally(doc["drift"], "drift.") + _tally(doc["oracle"], "oracle.")
+    errors = _tally(doc["drift"], "drift.")
+    errors += _oracle_rules(doc["oracle"], "oracle.")
     if not doc["params"]:
         errors.append("params: must not be empty")
     if doc["chip_gflops"] < 0:
@@ -276,6 +283,19 @@ _CHAOS_SERVE = {
 }
 
 
+def _chaos_contract(doc: Dict[str, Any]) -> List[str]:
+    """The bars every chaos run holds: no wrong answer, balanced counters."""
+    errors: List[str] = []
+    if doc["wrong_answers"]:
+        errors.append(
+            f"wrong_answers: {doc['wrong_answers']} wrong answers recorded; "
+            f"the contract is zero"
+        )
+    if not doc["counters_balanced"]:
+        errors.append("counters_balanced: counters did not balance")
+    return errors
+
+
 def _chaos_serve_rules(doc: Dict[str, Any]) -> List[str]:
     errors = [f"{key}: is negative" for key in _CHAOS_TALLIES if doc[key] < 0]
     if not 0.0 <= doc["availability"] <= 1.0:
@@ -285,16 +305,36 @@ def _chaos_serve_rules(doc: Dict[str, Any]) -> List[str]:
     )
     if answered > doc["offered"]:
         errors.append(f"offered: answered {answered} exceeds offered {doc['offered']}")
-    if doc["wrong_answers"]:
-        errors.append(
-            f"wrong_answers: {doc['wrong_answers']} wrong answers recorded; "
-            f"the contract is zero"
-        )
-    if not doc["counters_balanced"]:
-        errors.append("counters_balanced: serve counters did not balance")
+    errors += _chaos_contract(doc)
     for i, label in enumerate(doc["breaker_transitions"]):
         if "->" not in label:
             errors.append(f"breaker_transitions[{i}]: malformed transition {label!r}")
+    return errors
+
+
+# Chaos-fleet report: a home chip killed mid-run.
+_CHAOS_FLEET = {
+    **dict.fromkeys(
+        (
+            "seed", "chips", "killed_chip", "kill_at", "offered", "completed",
+            "shed", "rejected", "deadline_misses", "errors", "wrong_answers",
+            "failovers", "chip_deaths",
+        ),
+        "int",
+    ),
+    "availability": "number",
+    "counters_balanced": "bool",
+    "chip_states": {"*": "str"},
+    "routing": {"*": "number"},
+}
+
+
+def _chaos_fleet_rules(doc: Dict[str, Any]) -> List[str]:
+    errors = _chaos_contract(doc)
+    if doc["failovers"] < 1:
+        errors.append("failovers: chip loss produced no failover routing")
+    if doc["errors"]:
+        errors.append(f"errors: {doc['errors']} untyped errors")
     return errors
 
 
@@ -465,6 +505,7 @@ def _fleet_rules(doc: Dict[str, Any]) -> List[str]:
 
 #: Tag -> (spec, invariants).
 KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
+    CHAOS_FLEET_SCHEMA: (_CHAOS_FLEET, _chaos_fleet_rules),
     CHAOS_SERVE_SCHEMA: (_CHAOS_SERVE, _chaos_serve_rules),
     DATAPARALLEL_SCHEMA: (_DATAPARALLEL, _dataparallel_rules),
     FLEET_SCHEMA: (_FLEET, _fleet_rules),

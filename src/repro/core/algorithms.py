@@ -4,8 +4,7 @@ The paper ships one spatial-domain mapping — direct summation lowered onto
 the register-communication mesh — and Section III-C argues the choice.
 MG3MConv (PAPERS.md) later showed SW26010 convolution wins by *choosing*
 among several matrix-multiplication mappings per layer shape.  This module
-promotes the two analysis-only baselines (``repro.baselines.im2col``,
-``repro.baselines.winograd``) into first-class execution paths the
+adds the two GEMM-lowered spatial-domain families as execution paths the
 autotuner can search:
 
 * **im2col** — materialize the lowered ``(Ni*Kr*Kc) x (B*Ro*Co)`` matrix in
@@ -106,8 +105,7 @@ WINOGRAD_A_T = np.array(
 WINOGRAD_ARITHMETIC_REDUCTION = 36.0 / 16.0
 
 #: The transform adds (B^T d B, G g G^T, A^T m A) are not free: calibrated
-#: as a flat multiplier on the pointwise-stage compute time, matching the
-#: baseline analysis in ``repro.baselines.winograd``.
+#: as a flat multiplier on the pointwise-stage compute time.
 WINOGRAD_TRANSFORM_OVERHEAD = 1.2
 
 #: DMA block-size clamp shared with :class:`~repro.core.gemm_plan.GemmEngine`.

@@ -58,9 +58,6 @@ class GemmParams:
     def flops(self) -> int:
         return 2 * self.m * self.n * self.k
 
-    def bytes_unique(self, ds: int = DS) -> int:
-        return (self.m * self.k + self.k * self.n + self.m * self.n) * ds
-
 
 def rbw_gemm(
     b_m: int,

@@ -105,7 +105,8 @@ def conv2d_im2col(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Materializes the im2col matrix and performs one big matmul — the
     spatial-domain alternative the paper mentions alongside direct
-    summation.  Used by the baselines package and as a third oracle.
+    summation.  The zoo's im2col engine runs it on the numpy backend, and
+    the tests use it as a third oracle.
     """
     p = _check_forward_args(x, w)
     cols = np.empty((p.b, p.ni * p.kr * p.kc, p.ro * p.co), dtype=np.float64)

@@ -27,7 +27,7 @@ import numpy as np
 from repro.common.errors import DMATimeoutError, ReproError
 from repro.common.parallel import parallel_map
 from repro.common.rng import derive_rng
-from repro.common.schema import CHAOS_SERVE_SCHEMA
+from repro.common.schema import CHAOS_FLEET_SCHEMA, CHAOS_SERVE_SCHEMA
 from repro.common.tables import TextTable
 from repro.hw.chip import CoreGroup
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -616,6 +616,7 @@ class ChaosFleetReport:
 
     def as_dict(self) -> Dict[str, Any]:
         return {
+            "schema": CHAOS_FLEET_SCHEMA,
             "seed": self.seed,
             "chips": self.chips,
             "killed_chip": self.killed_chip,

@@ -16,19 +16,18 @@ bandwidth curve the paper measures in Table II.
 """
 
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
-from repro.hw.memory import MainMemory, GloadPort
+from repro.hw.memory import MainMemory
 from repro.hw.dma import DMAEngine, DMATransfer, DMABandwidthModel
 from repro.hw.ldm import LDM, LDMAllocator, LDMBuffer
 from repro.hw.regfile import VectorRegisterFile
 from repro.hw.mesh import CPEMesh, RegisterBus, TransferBuffer
 from repro.hw.cpe import CPE
-from repro.hw.chip import CoreGroup, SW26010Chip
+from repro.hw.chip import CoreGroup
 
 __all__ = [
     "SW26010Spec",
     "DEFAULT_SPEC",
     "MainMemory",
-    "GloadPort",
     "DMAEngine",
     "DMATransfer",
     "DMABandwidthModel",
@@ -41,5 +40,4 @@ __all__ = [
     "TransferBuffer",
     "CPE",
     "CoreGroup",
-    "SW26010Chip",
 ]

@@ -1,22 +1,20 @@
-"""Main (DDR3) memory of a core group, and the gload direct-access port.
+"""Main (DDR3) memory of a core group.
 
 The simulator keeps tensors as named NumPy arrays living "in main memory".
-CPEs may reach that memory two ways, mirroring Section III-D of the paper:
+CPEs reach that memory through the :class:`repro.hw.dma.DMAEngine` into
+LDM (the REG-LDM-MEM path of Section III-D), which is the path every
+optimized plan uses.  The direct ``gload`` path (8 GB/s per CG, 0.32% of
+peak) is priced analytically by
+:meth:`repro.perf.model.PerformanceModel.direct_memory`.
 
-* through the :class:`repro.hw.dma.DMAEngine` into LDM (the REG-LDM-MEM
-  path), which is the path every optimized plan uses; or
-* directly, element-by-element, through :class:`GloadPort` — the ``gload``
-  instruction path, whose physical bandwidth is only 8 GB/s per CG and which
-  the paper shows yields 0.32% of peak.
-
-Both ports account the bytes they move so experiments can report effective
+The memory accounts the bytes moved so experiments can report effective
 bandwidths and arithmetic intensity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 
@@ -116,38 +114,3 @@ class MainMemory:
     def names(self):
         """Iterate over registered tensor names."""
         return iter(self._tensors)
-
-
-class GloadPort:
-    """Direct CPE access to main memory via ``gload``/``gstore``.
-
-    The paper's first design point (middle column of Fig. 2): no data
-    sharing, an 8 GB/s physical interface shared by the 64 CPEs of a CG.
-    """
-
-    def __init__(self, memory: MainMemory, spec: Optional[SW26010Spec] = None):
-        self.memory = memory
-        self.spec = spec or memory.spec
-        self.stats = MemoryStats()
-
-    def gload(self, name: str, index) -> np.ndarray:
-        """Read an element (or slice) directly from main memory."""
-        tensor = self.memory.get(name)
-        value = tensor[index]
-        nbytes = int(np.asarray(value).nbytes)
-        self._account(read=nbytes, write=0)
-        return value
-
-    def gstore(self, name: str, index, value) -> None:
-        """Write an element (or slice) directly to main memory."""
-        tensor = self.memory.get(name)
-        tensor[index] = value
-        nbytes = int(np.asarray(value).nbytes)
-        self._account(read=0, write=nbytes)
-
-    def _account(self, read: int, write: int) -> None:
-        moved = read + write
-        self.stats.bytes_read += read
-        self.stats.bytes_written += write
-        self.stats.transfers += 1
-        self.stats.busy_seconds += moved / self.spec.gload_bandwidth

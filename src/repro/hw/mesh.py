@@ -287,9 +287,6 @@ class CPEMesh:
     def total_bus_bytes(self) -> int:
         return sum(b.stats.bytes for b in self.row_buses + self.col_buses)
 
-    def total_bus_operations(self) -> int:
-        return sum(b.stats.operations for b in self.row_buses + self.col_buses)
-
     def reset_stats(self) -> None:
         for bus in self.row_buses + self.col_buses:
             bus.stats = BusStats()

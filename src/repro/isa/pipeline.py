@@ -122,11 +122,6 @@ def simulate_cached(program: Program) -> PipelineReport:
     return report
 
 
-def clear_report_cache() -> None:
-    """Drop every memoized pipeline report."""
-    _REPORT_CACHE.clear()
-
-
 class DualPipelineSimulator:
     """Simulates issue timing of a :class:`Program` on the two CPE pipelines."""
 

@@ -116,9 +116,6 @@ class MachineState:
     def write_reg(self, name: str, value) -> None:
         self.registers[name] = np.asarray(value, dtype=np.float64)
 
-    def snapshot_registers(self, names: Iterable[str]) -> Dict[str, np.ndarray]:
-        return {n: np.array(self.read_reg(n)) for n in names}
-
 
 class Interpreter:
     """Executes a :class:`Program` sequentially, in program order."""

@@ -47,13 +47,6 @@ class Roofline:
             raise ValueError("arithmetic intensity must be non-negative")
         return min(self.peak_flops, self.peak_bandwidth * arithmetic_intensity)
 
-    def required_bandwidth(self) -> float:
-        """Bandwidth needed to run at peak for intensity-1 workloads.
-
-        More usefully combined with :func:`required_bandwidth_for` below.
-        """
-        return self.peak_flops
-
     def required_bandwidth_for(self, bytes_moved: float, flops: float) -> float:
         """RBW to sustain peak given a kernel's bytes/flops ratio."""
         if flops <= 0:

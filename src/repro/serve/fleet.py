@@ -847,9 +847,6 @@ class FleetServer:
     def chip_states(self) -> Dict[int, str]:
         return {chip.index: chip.state for chip in self._chips}
 
-    def chip_depths(self) -> Dict[int, int]:
-        return {chip.index: chip.depth() for chip in self._chips}
-
     def active_chips(self) -> List[int]:
         return [c.index for c in self._chips if c.state == CHIP_ACTIVE]
 

@@ -396,7 +396,3 @@ class WarmEnginePool:
                 raise ServeError(f"pooling {s}x{s} does not divide {h_}x{w_}")
             out = out.reshape(b_, c_, h_ // s, s, w_ // s, s).mean(axis=(3, 5))
         return out
-
-    @property
-    def engines_built(self) -> int:
-        return len(self._engines)

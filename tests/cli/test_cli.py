@@ -156,6 +156,13 @@ def _flight(tmp_path):
     return flight.dump(str(tmp_path / "flight.json"))
 
 
+def _chaos_fleet(tmp_path):
+    path = str(tmp_path / "chaos_fleet.json")
+    assert main(["serve", "--chips", "3", "--chaos", "--requests", "24",
+                 "--smoke", "--json-out", path]) == 0
+    return path
+
+
 def _oracle(tmp_path):
     from repro.core.params import ConvParams
     from repro.telemetry import oracle_report
@@ -168,6 +175,7 @@ def _oracle(tmp_path):
 DOCUMENTS = {
     schema.FLEET_SCHEMA: _committed("BENCH_fleet.json"),
     schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
+    schema.CHAOS_FLEET_SCHEMA: _chaos_fleet,
     schema.DATAPARALLEL_SCHEMA: _committed("BENCH_dataparallel.json"),
     schema.PROFILE_SCHEMA: _profile,
     schema.METRICS_SCHEMA: _metrics,
@@ -258,6 +266,35 @@ class TestSmokeGates:
             if line.startswith("chaos smoke FAIL")
         ]
         assert failures == ["chaos smoke FAIL: availability 0.00% below 99%"]
+
+    def test_fleet_chaos_smoke_reports_no_failover_once(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.faults
+        from repro.faults.chaos import ChaosFleetReport
+        from repro.telemetry import FlightRecorder
+
+        with open(_chaos_fleet(tmp_path)) as fh:
+            record = json.load(fh)
+        fields = {k: record[k] for k in ChaosFleetReport.__dataclass_fields__}
+        report = ChaosFleetReport(**{**fields, "failovers": 0})
+        report.flight = FlightRecorder()
+        monkeypatch.setattr(
+            repro.faults, "run_chaos_fleet", lambda **kwargs: report
+        )
+        flight = str(tmp_path / "flight.json")
+        capsys.readouterr()
+        assert main(["serve", "--chips", "3", "--chaos", "--smoke",
+                     "--flight-out", flight]) == 1
+        failures = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("fleet chaos smoke FAIL")
+        ]
+        assert failures == [
+            "fleet chaos smoke FAIL: failovers: chip loss produced no "
+            "failover routing"
+        ]
+        assert main(["validate", flight]) == 0
 
 
 class TestCalibrate:

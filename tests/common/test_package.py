@@ -1,4 +1,8 @@
-"""Top-level package surface: lazy exports, error hierarchy, CPE counters."""
+"""Top-level package surface: lazy exports, error hierarchy, CPE counters,
+and that every module has a caller outside the tests."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,3 +81,85 @@ class TestCPECounters:
 
     def test_coords(self):
         assert CPE(3, 5).coords == (3, 5)
+
+
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+#: The trees whose imports count: the library, and everything that runs it.
+CALLER_TREES = ("src", "examples", "swbench", "scripts", "benchmarks")
+
+#: Modules that no caller imports yet, each with the reason it stays.
+UNIMPORTED = {
+    "repro.core.aux_ops": (
+        "prices pooling, activation and bias; it stays for the per-layer "
+        "ledger's non-conv rows, which will check the paper's >90% "
+        "convolution share"
+    ),
+}
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _is_entry_point(path, tree):
+    """A ``__main__`` module, or one guarded for ``python -m``."""
+    if path.name == "__main__.py":
+        return True
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        for node in tree.body
+    )
+
+
+def _imported_names(tree):
+    """Every dotted name an import statement in ``tree`` may load."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _unimported_modules():
+    """Modules under ``src/repro`` that no other caller file imports.
+
+    A package counts as imported when one of its modules is; entry points
+    run with ``python -m`` need no importer.
+    """
+    imports = {}
+    for tree_root in CALLER_TREES:
+        for path in sorted((ROOT / tree_root).rglob("*.py")):
+            imports[path] = _imported_names(ast.parse(path.read_text()))
+    unimported = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = _module_name(path)
+        if _is_entry_point(path, ast.parse(path.read_text())):
+            continue
+        if not any(
+            other != path
+            and any(n == name or n.startswith(name + ".") for n in names)
+            for other, names in imports.items()
+        ):
+            unimported.append(name)
+    return unimported
+
+
+class TestEveryModuleHasACaller:
+    def test_no_unimported_module(self):
+        stray = [m for m in _unimported_modules() if m not in UNIMPORTED]
+        assert stray == [], (
+            f"nothing under {', '.join(CALLER_TREES)} imports {stray}: "
+            f"wire each into a caller or delete it with its tests"
+        )
+
+    def test_exceptions_are_still_unimported(self):
+        stale = sorted(set(UNIMPORTED) - set(_unimported_modules()))
+        assert stale == [], f"{stale} now have a caller; drop them from UNIMPORTED"

@@ -10,6 +10,7 @@ by the tuner.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import PlanError
 from repro.core.algorithms import (
@@ -110,6 +111,27 @@ class TestParity:
         params = ConvParams.from_output(ni=8, no=8, ro=9, co=7, kr=3, kc=3, b=3)
         out, expected, _ = _run(algo, params, "mesh")
         np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-10)
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=4, max_value=9),
+        st.integers(min_value=4, max_value=9),
+        st.integers(min_value=0, max_value=99),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_winograd_matches_reference_property(self, ni, no, ri, ci, seed):
+        """Odd and even output extents, tiny channel counts: the 2x2 output
+        tiling must pad and crop exactly."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, ni, ri, ci))
+        w = rng.standard_normal((no, ni, 3, 3))
+        params = ConvParams(ni=ni, no=no, ri=ri, ci=ci, kr=3, kc=3, b=2)
+        plan = make_lowered_plan("winograd", params)
+        out, _ = engine_for_plan(plan, backend="numpy").run(x, w)
+        np.testing.assert_allclose(
+            out, conv2d_reference(x, w), rtol=1e-10, atol=1e-10
+        )
 
     @pytest.mark.parametrize("algo", LOWERED)
     def test_bias_relu_epilogue(self, algo):

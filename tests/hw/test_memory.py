@@ -1,10 +1,10 @@
-"""Main memory and the gload port."""
+"""Main memory: registration, capacity and lookup."""
 
 import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.hw.memory import GloadPort, MainMemory
+from repro.hw.memory import MainMemory
 from repro.hw.spec import DEFAULT_SPEC
 
 
@@ -56,34 +56,3 @@ class TestMainMemory:
     def test_get_unknown_raises(self):
         with pytest.raises(SimulationError):
             MainMemory().get("ghost")
-
-
-class TestGloadPort:
-    def test_gload_reads_value(self):
-        mem = MainMemory()
-        mem.register("x", np.arange(10, dtype=np.float64))
-        port = GloadPort(mem)
-        assert port.gload("x", 3) == 3.0
-
-    def test_gstore_writes_value(self):
-        mem = MainMemory()
-        mem.register("x", np.zeros(4))
-        port = GloadPort(mem)
-        port.gstore("x", 1, 7.5)
-        assert mem.get("x")[1] == 7.5
-
-    def test_time_accounting_uses_8_gbps(self):
-        mem = MainMemory()
-        mem.register("x", np.zeros(1000))
-        port = GloadPort(mem)
-        port.gload("x", slice(None))  # 8000 bytes
-        assert port.stats.busy_seconds == pytest.approx(8000 / 8e9)
-        assert port.stats.bytes_read == 8000
-
-    def test_transfer_count(self):
-        mem = MainMemory()
-        mem.register("x", np.zeros(4))
-        port = GloadPort(mem)
-        for i in range(4):
-            port.gload("x", i)
-        assert port.stats.transfers == 4

@@ -40,7 +40,7 @@ from repro.serve import (
     run_fleet_load,
     synthetic_images,
 )
-from repro.common.schema import validate
+from repro.common.schema import CHAOS_FLEET_SCHEMA, validate
 from repro.serve.fleet import ROUTE_AFFINITY, ROUTE_COLD, ROUTE_FAILOVER, ROUTE_SPILL
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -450,6 +450,38 @@ class TestChaosFleet:
         assert report.chip_states[report.killed_chip] == "dead"
         payload = report.as_dict()
         assert payload == json.loads(json.dumps(payload))
+        assert validate(payload) == []
+
+
+class TestChaosFleetReportSchema:
+    @staticmethod
+    def _payload():
+        return {
+            "schema": CHAOS_FLEET_SCHEMA,
+            "seed": 1, "chips": 3, "killed_chip": 0, "kill_at": 9,
+            "offered": 24, "completed": 24, "shed": 0, "rejected": 0,
+            "deadline_misses": 0, "errors": 0, "wrong_answers": 0,
+            "availability": 1.0, "failovers": 1, "chip_deaths": 1,
+            "counters_balanced": True,
+            "chip_states": {"0": "dead", "1": "active", "2": "active"},
+            "routing": {"affinity": 23, "failover": 1, "hit_rate": 0.96},
+        }
+
+    def test_valid_payload_passes(self):
+        assert validate(self._payload()) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("wrong_answers", 2),
+            ("counters_balanced", False),
+            ("failovers", 0),
+            ("errors", 1),
+        ],
+    )
+    def test_each_smoke_bar_is_enforced(self, key, value):
+        violations = validate({**self._payload(), key: value})
+        assert len(violations) == 1 and violations[0].startswith(f"{key}:")
 
 
 class TestFleetReportSchema:

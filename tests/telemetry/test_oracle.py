@@ -96,6 +96,17 @@ class TestOracleReport:
     def test_as_dict_validates(self, report):
         assert validate(report.as_dict()) == []
 
+    def test_blowup_explains_rejection(self):
+        """Section III-C: lowering replicates each input pixel Kr*Kc times
+        on a bandwidth-bound chip, so on a 3x3 layer the im2col engine moves
+        more measured bytes than the direct plan and runs slower."""
+        params = ConvParams.from_output(
+            ni=128, no=128, ro=64, co=64, kr=3, kc=3, b=128
+        )
+        rows = {row.algorithm: row for row in oracle_report([params]).rows}
+        assert rows["im2col"].measured_bytes > rows["direct"].measured_bytes
+        assert rows["im2col"].gflops < rows["direct"].gflops
+
     def test_restricted_algorithms(self):
         report = oracle_report([SMALL], algorithms=("direct", "winograd"))
         assert {row.algorithm for row in report.rows} == {"direct", "winograd"}

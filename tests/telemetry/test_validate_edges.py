@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.common.schema import PROFILE_SCHEMA, validate
+from repro.common.schema import ORACLE_SCHEMA, PROFILE_SCHEMA, validate
 from repro.telemetry import SpanTracer
 
 
@@ -116,7 +116,27 @@ def _profile_doc():
             "flagged": 1,
             "rows": [{"flagged": True}, {"flagged": False}],
         },
-        "oracle": {"threshold": 0.5, "flagged": 0, "rows": []},
+        "oracle": {
+            "threshold": 0.5,
+            "flagged": 1,
+            "rows": [
+                _oracle_row("direct", measured=4000, attainment=0.5),
+                _oracle_row("im2col", measured=8000, attainment=0.25),
+            ],
+        },
+    }
+
+
+def _oracle_row(algorithm, measured, attainment, bound=2000):
+    return {
+        "params": [32, 32, 16, 3, 16],
+        "algorithm": algorithm,
+        "plan": algorithm,
+        "measured_bytes": measured,
+        "bound_bytes": bound,
+        "attainment": attainment,
+        "gflops": 100.0,
+        "flagged": attainment < 0.5,
     }
 
 
@@ -134,6 +154,20 @@ class TestProfileDocument:
         doc["drift"]["flagged"] = 2
         errors = validate(doc)
         assert any("drift.flagged" in e and "1 row(s)" in e for e in errors)
+
+    def test_oracle_section_held_to_oracle_invariants(self):
+        """The section gets the same violations as a standalone oracle
+        document: here a wrong attainment and no direct baseline row."""
+        section = {
+            "threshold": 0.5,
+            "flagged": 0,
+            "rows": [_oracle_row("im2col", measured=4000, attainment=0.9)],
+        }
+        alone = validate({"schema": ORACLE_SCHEMA, **section})
+        assert len(alone) == 2
+        doc = _profile_doc()
+        doc["oracle"] = section
+        assert validate(doc) == [f"oracle.{error}" for error in alone]
 
     def test_counter_values_must_be_numbers(self):
         doc = _profile_doc()
