@@ -11,7 +11,8 @@ Records, into ``benchmarks/BENCH_autotune.json``:
   prove the warm run re-measured nothing.
 
 The asserted floor — tuned+fused at least 1.3x the heuristic unfused
-pipeline — is this PR's acceptance bar.
+pipeline — is the bench's acceptance bar; the written record carries the
+``repro.autotune/v1`` tag and passes ``python -m repro validate``.
 """
 
 import json
@@ -20,6 +21,7 @@ import time
 
 import numpy as np
 
+from repro.common.schema import AUTOTUNE_SCHEMA, validate
 from repro.core.conv import ConvolutionEngine
 from repro.core.fusion import unfused_pipeline_seconds
 from repro.core.params import ConvParams
@@ -45,7 +47,7 @@ def _timed(fn, *args, **kwargs):
 
 
 def test_bench_autotune(benchmark, tmp_path):
-    record = {}
+    record = {"schema": AUTOTUNE_SCHEMA}
 
     # -- 1. heuristic vs tuned (unfused) -----------------------------------
     heuristic_plan = plan_convolution(ACCEPT_PARAMS).plan
@@ -129,6 +131,8 @@ def test_bench_autotune(benchmark, tmp_path):
         "matches_reference": True,
     }
 
+    violations = validate(record)
+    assert violations == [], f"schema violations: {violations}"
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -111,7 +111,7 @@ def cmd_tune(args) -> int:
     from repro.core.conv import ConvolutionEngine
     from repro.core.params import ConvParams
     from repro.core.planner import plan_convolution
-    from repro.tune import PlanCache, autotune, enumerate_candidates
+    from repro.tune import PlanCache, autotune, search_space
 
     params = ConvParams.from_output(
         ni=args.ni, no=args.no, ro=args.out, co=args.out,
@@ -133,7 +133,7 @@ def cmd_tune(args) -> int:
         params, cache=cache, top_k=args.top_k, jobs=args.jobs,
         force=args.force, algorithms=algorithms,
     )
-    space = len(enumerate_candidates(params, algorithms=algorithms))
+    space = len(search_space(params, algorithms=algorithms))
     print(f"search space: {space} legal candidates, "
           f"{result.measured} measured ({result.source})")
     print(f"heuristic: {heuristic.plan.describe()}")

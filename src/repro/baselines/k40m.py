@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.common.rng import derive_rng
 from repro.core.params import ConvParams
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+AUTOTUNE_SCHEMA = "repro.autotune/v1"
 CHAOS_FLEET_SCHEMA = "repro.chaos_fleet/v1"
 CHAOS_SERVE_SCHEMA = "repro.chaos_serve/v1"
 DATAPARALLEL_SCHEMA = "repro.dataparallel/v1"
@@ -503,8 +504,52 @@ def _fleet_rules(doc: Dict[str, Any]) -> List[str]:
     return errors
 
 
+# Autotune bench record.
+_AUTOTUNE = {
+    "heuristic_vs_tuned": {
+        **dict.fromkeys(("params", "tuned_plan"), "str"),
+        **dict.fromkeys(("heuristic_gflops", "tuned_gflops", "speedup"), "number"),
+        **dict.fromkeys(("candidates", "measured"), "int"),
+    },
+    "fused_vs_unfused": {
+        **dict.fromkeys(("stack", "fused_plan"), "str"),
+        **dict.fromkeys(
+            ("unfused_heuristic_ms", "fused_tuned_ms", "speedup"), "number"
+        ),
+    },
+    "batch_sharding": dict.fromkeys(
+        ("one_cg_gflops", "four_cg_gflops", "scaling", "four_cg_peak_fraction"),
+        "number",
+    ),
+    "plan_cache": {
+        **dict.fromkeys(("cold_tune_seconds", "warm_hit_seconds"), "number"),
+        **dict.fromkeys(
+            ("cold_measured", "warm_measured", "hits", "misses", "stores"), "int"
+        ),
+    },
+    "parity": {"params": "str", "tuned_plan": "str", "matches_reference": "bool"},
+}
+
+
+def _autotune_rules(doc: Dict[str, Any]) -> List[str]:
+    tuned, warm = doc["heuristic_vs_tuned"], doc["plan_cache"]["warm_measured"]
+    bars = [
+        (tuned["tuned_gflops"] >= tuned["heuristic_gflops"],
+         f"heuristic_vs_tuned.tuned_gflops: {tuned['tuned_gflops']} below the "
+         f"heuristic's {tuned['heuristic_gflops']}"),
+        (tuned["measured"] <= tuned["candidates"],
+         f"heuristic_vs_tuned.measured: {tuned['measured']} exceeds "
+         f"{tuned['candidates']} candidates"),
+        (warm == 0, f"plan_cache.warm_measured: {warm} measured on a warm hit"),
+        (doc["parity"]["matches_reference"],
+         "parity.matches_reference: the tuned plan misses the reference"),
+    ]
+    return [message for ok, message in bars if not ok]
+
+
 #: Tag -> (spec, invariants).
 KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
+    AUTOTUNE_SCHEMA: (_AUTOTUNE, _autotune_rules),
     CHAOS_FLEET_SCHEMA: (_CHAOS_FLEET, _chaos_fleet_rules),
     CHAOS_SERVE_SCHEMA: (_CHAOS_SERVE, _chaos_serve_rules),
     DATAPARALLEL_SCHEMA: (_DATAPARALLEL, _dataparallel_rules),

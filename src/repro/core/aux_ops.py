@@ -11,13 +11,13 @@ paper's >90% "convolution share" claim can be checked rather than assumed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.common.errors import PlanError
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
-from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY, DMAStream, blended_mbw
+from repro.perf.dma_model import DMAStream, blended_mbw
 from repro.core.conv import TimingReport
 
 

@@ -23,7 +23,7 @@ Each pass returns both the numeric result (validated against
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 

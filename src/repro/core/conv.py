@@ -41,7 +41,6 @@ from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
 from repro.perf.model import _measured_ee
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan, TileStep, expand_program
-from repro.core.reference import conv2d_reference
 from repro.core.register_comm import MeshGemm
 
 

@@ -40,7 +40,6 @@ from repro.perf.equations import (
 from repro.perf.model import PerformanceEstimate, PerformanceModel
 from repro.core.layout import (
     DS,
-    LANES,
     batch_plan_block_bytes,
     filter_block_bytes,
     image_plan_block_bytes,

@@ -20,7 +20,7 @@ Eq. 5 to 23.2 GB/s, half the 46.4 GB/s LDM->REG bandwidth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.common.errors import RegisterPressureError
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC

@@ -12,7 +12,7 @@ documented tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.common.units import GB
 

@@ -11,9 +11,7 @@ the published curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from repro.common.tables import TextTable
 from repro.common.units import GB

@@ -34,10 +34,8 @@ Injected conditions raise the typed errors of :mod:`repro.common.errors`
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
 
 from repro.common.errors import (
     BusStallError,

@@ -19,7 +19,7 @@ the double-buffering overlap of Section IV-A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from repro.common.errors import SimulationError
 from repro.common.units import GB
 from repro.hw.ldm import LDMBuffer
 from repro.hw.memory import MainMemory, MemoryStats
-from repro.hw.spec import SW26010Spec, DEFAULT_SPEC, TABLE_II_DMA_BANDWIDTH
+from repro.hw.spec import SW26010Spec, TABLE_II_DMA_BANDWIDTH
 from repro.telemetry import current_telemetry
 
 

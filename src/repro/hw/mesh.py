@@ -24,8 +24,8 @@ packets so experiments can report bus traffic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Tuple
 
 import numpy as np
 

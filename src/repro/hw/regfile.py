@@ -9,7 +9,7 @@ feasible (rbB, rbNo) choices of Eq. 5.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -22,7 +22,7 @@ or from the TaihuLight system paper it cites:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.common.units import KIB, GB, GHZ

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import RegisterPressureError, SimulationError
+from repro.common.errors import SimulationError
 from repro.hw.cpe import CPE
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.isa.instructions import Instruction

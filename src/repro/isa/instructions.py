@@ -16,7 +16,7 @@ reordered (17 cycles/iteration) GEMM inner loop.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 

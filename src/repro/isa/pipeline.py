@@ -26,7 +26,7 @@ throughput.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import Instruction, PipelineClass

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.isa.instructions import Instruction, OPCODES
+from repro.isa.instructions import Instruction
 
 
 class Program:

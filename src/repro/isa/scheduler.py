@@ -22,11 +22,11 @@ the dependence order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import SimulationError
-from repro.isa.instructions import Instruction, PipelineClass
+from repro.isa.instructions import PipelineClass
 from repro.isa.program import Program
 
 

@@ -21,9 +21,8 @@ hazards planted in known-bad kernels and stays silent on generated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
-from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 
 

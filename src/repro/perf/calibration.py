@@ -17,7 +17,7 @@ calibration reproducible and the constants auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.common.units import GB
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC

@@ -23,8 +23,10 @@ paper performs to conclude registers stop being the bound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.units import GB
-from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
+from repro.hw.spec import DEFAULT_SPEC
 
 #: Double precision.
 DS = 8
@@ -37,8 +39,9 @@ RBW_DIRECT_MEM = 139.20 * GB
 
 
 def _check_positive(**kwargs: float) -> None:
+    """Raise unless every value is positive (a scalar or every array item)."""
     for name, value in kwargs.items():
-        if value <= 0:
+        if np.any(np.less_equal(value, 0)):
             raise ValueError(f"{name} must be positive, got {value}")
 
 

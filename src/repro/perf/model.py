@@ -24,9 +24,8 @@ from typing import Optional
 
 from typing import Sequence
 
-from repro.common.units import GB
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
-from repro.perf.dma_model import DMAStream, blended_mbw, mem_ldm_mbw
+from repro.perf.dma_model import DMAStream, blended_mbw
 from repro.perf.equations import (
     RBW_DIRECT_MEM,
     rbw_ldm_reg_gemm_simd,
@@ -36,9 +35,14 @@ from repro.perf.equations import (
 from repro.perf.roofline import bandwidth_bound_fraction
 
 
-@lru_cache(maxsize=256)
 def _measured_ee(iterations: int, num_a: int = 4, num_b: int = 4) -> float:
-    """Simulated execution efficiency of the reordered kernel (cached)."""
+    """Simulated execution efficiency of the reordered kernel (cached on
+    all three arguments, so ``k`` and ``k, 4, 4`` share one simulation)."""
+    return _kernel_ee(iterations, num_a, num_b)
+
+
+@lru_cache(maxsize=256)
+def _kernel_ee(iterations: int, num_a: int, num_b: int) -> float:
     from repro.isa.kernels import GemmKernelSpec, kernel_execution_efficiency
 
     return kernel_execution_efficiency(

@@ -24,7 +24,7 @@ module provides the data-parallel implementation.  Two pieces:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

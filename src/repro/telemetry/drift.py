@@ -20,7 +20,7 @@ does not explain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.common.tables import TextTable
 from repro.common.units import GB

@@ -7,12 +7,13 @@ REG/LDM/MEM performance model.  The heuristic planner
 (:mod:`repro.core.planner`) makes that choice with one closed-form rule per
 family; this package replaces the rule with a *measured search*:
 
-1. :func:`~repro.tune.space.enumerate_candidates` walks the legal blocking
-   space (LDM-capacity-feasible ``bB``/``bCo``/``bNi`` x both loop-schedule
-   families x DMA-promotion flags x register-feasible ``(rbB, rbNo)``
-   shapes);
-2. the analytic roofline model prunes it to the most promising ``top_k``
-   candidates (:func:`~repro.tune.tuner.score_candidate`);
+1. :func:`~repro.tune.space.search_space` builds the legal blocking space
+   as NumPy columns (LDM-capacity-feasible ``bB``/``bCo``/``bNi`` x both
+   loop-schedule families x DMA-promotion flags x register-feasible
+   ``(rbB, rbNo)`` shapes);
+2. the analytic roofline model scores every point at once
+   (:func:`~repro.tune.tuner.score_space`) and prunes the space to the most
+   promising ``top_k`` candidates;
 3. the survivors are *measured* on the simulator — in parallel via
    :func:`~repro.common.parallel.parallel_map` — and the fastest wins;
 4. the winner is persisted in a versioned on-disk plan cache
@@ -35,8 +36,10 @@ from repro.tune.cache import (
     reset_global_cache_stats,
 )
 from repro.core.algorithms import ALGORITHMS, resolve_algorithms
-from repro.tune.space import FAMILIES, Candidate, enumerate_candidates
-from repro.tune.tuner import TunedPlan, autotune, score_candidate, warm_cache
+from repro.tune.space import FAMILIES, Candidate, enumerate_candidates, search_space
+from repro.tune.tuner import (
+    TunedPlan, autotune, score_candidate, score_space, warm_cache,
+)
 
 __all__ = [
     "ALGORITHMS",
@@ -53,5 +56,7 @@ __all__ = [
     "global_cache_stats",
     "reset_global_cache_stats",
     "score_candidate",
+    "score_space",
+    "search_space",
     "warm_cache",
 ]

@@ -16,15 +16,18 @@ register-blocking shape for the inner GEMM kernel.  The enumeration walks:
 * a small set of register-feasible ``(rbB, rbNo)`` shapes around the paper's
   (16, 4).
 
-Every candidate returned is **LDM-capacity-feasible**: its per-CPE regions
-were allocated in a scratch :class:`~repro.hw.ldm.LDMAllocator` exactly the
-way the execution engine will allocate them.
+The points are int64 columns (:class:`SearchSpace`) in that nested-loop
+order, the register shape varying fastest.  Every point is
+**LDM-capacity-feasible**: one mask sums its per-CPE regions the way the
+:class:`~repro.hw.ldm.LDMAllocator` of the execution engine allocates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.algorithms import (
     GemmBlocking,
@@ -37,9 +40,9 @@ from repro.core.algorithms import (
 from repro.core.ldm_blocking import (
     BatchBlocking,
     ImageBlocking,
-    batch_plan_ldm_bytes,
-    fits_in_ldm,
-    image_plan_ldm_bytes,
+    _divisor_candidates,
+    _ni_candidates,
+    _per_cpe,
 )
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan, make_plan
@@ -48,6 +51,7 @@ from repro.core.register_blocking import (
     RegisterBlocking,
 )
 from repro.core.serialize import blocking_from_dict, blocking_to_dict
+from repro.hw.ldm import LDMAllocator, _round_up
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 
 #: Register-blocking shapes the search considers by default: the paper's
@@ -150,78 +154,133 @@ class Candidate:
         )
 
 
-def _doubling(limit: int, start: int) -> Iterator[int]:
-    """``start, 2*start, ...`` up to ``limit``, always including ``limit``."""
-    value = start
-    emitted_limit = False
-    while value <= limit:
-        yield value
-        emitted_limit = emitted_limit or value == limit
-        value *= 2
-    if not emitted_limit and limit >= 1:
-        yield limit
+def _grid(*axes: Iterable[Optional[int]]) -> np.ndarray:
+    """The cross product of ``axes`` as int64 rows in nested-loop order
+    (the last axis fastest); ``None`` becomes 0."""
+    mesh = np.meshgrid(
+        *[np.array([v or 0 for v in axis], dtype=np.int64) for axis in axes],
+        indexing="ij",
+    )
+    return np.stack([column.ravel() for column in mesh], axis=1)
 
 
-def _ni_blocks(ni: int) -> Iterator[Optional[int]]:
-    """Full reduction first, then halvings down to one 8-deep iteration."""
-    yield None
-    value = ni // 2
-    while value >= 8:
-        yield value
-        value //= 2
+def _ni_block(b_ni: np.ndarray, ni: int) -> np.ndarray:
+    """``ni_block`` of the blockings over a ``b_ni`` column (0 = full)."""
+    return np.where(b_ni > 0, np.minimum(ni, b_ni), ni)
 
 
-def _image_blockings(
-    params: ConvParams, spec: SW26010Spec
-) -> Iterator[ImageBlocking]:
-    for b_ni in _ni_blocks(params.ni):
-        for b_b in _doubling(min(params.b, 256), 8):
-            for b_co in _doubling(min(params.co, 128), 4):
-                for promote_input in (False, True):
-                    for promote_filter in (False, True):
-                        blocking = ImageBlocking(
-                            b_b=b_b,
-                            b_co=b_co,
-                            promote_input=promote_input,
-                            promote_filter=promote_filter,
-                            b_ni=b_ni,
-                        )
-                        if fits_in_ldm(
-                            image_plan_ldm_bytes(params, blocking, spec), spec
-                        ):
-                            yield blocking
+def _ldm_fits(
+    inputs: np.ndarray, ni: np.ndarray, promote_filter: np.ndarray,
+    outputs: np.ndarray, params: ConvParams, spec: SW26010Spec,
+) -> np.ndarray:
+    """``fits_in_ldm`` of each point's five per-CPE regions (input and
+    filter ping/pong, output), each aligned as the allocator aligns it."""
+    filters = ni * params.no * np.where(promote_filter, params.kc, 1)
+    inp, flt, out = (
+        _round_up(_per_cpe(elems, spec), LDMAllocator.ALIGN)
+        for elems in (inputs, filters, outputs)
+    )
+    return 2 * inp + 2 * flt + out <= spec.ldm_bytes
 
 
-def _batch_blockings(
-    params: ConvParams, spec: SW26010Spec
-) -> Iterator[BatchBlocking]:
-    for b_ni in _ni_blocks(params.ni):
-        for b_co in _doubling(min(params.co, 128), 1):
-            for promote_filter in (False, True):
-                blocking = BatchBlocking(
-                    b_co=b_co, promote_filter=promote_filter, b_ni=b_ni
-                )
-                if fits_in_ldm(batch_plan_ldm_bytes(params, blocking, spec), spec):
-                    yield blocking
+def _image_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
+    """Every image-size-aware blocking as a :class:`SearchSpace` row, and
+    whether it fits LDM (the regions of ``image_plan_ldm_bytes``)."""
+    p = params
+    points = _grid(
+        _ni_candidates(p.ni),
+        _divisor_candidates(min(p.b, 256), 8),
+        _divisor_candidates(min(p.co, 128), 4),
+        (0, 1),
+        (0, 1),
+    )
+    b_ni, b_b, b_co, promote_input, promote_filter = points.T
+    ni = _ni_block(b_ni, p.ni)
+    inputs = ni * b_b * (b_co + (p.kc - 1) * promote_input)
+    return points, _ldm_fits(inputs, ni, promote_filter, b_b * p.no * b_co, p, spec)
+
+
+def _batch_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
+    """Every batch-size-aware blocking as a row (the batch is kept whole),
+    and whether it fits LDM (the regions of ``batch_plan_ldm_bytes``)."""
+    p = params
+    points = _grid(
+        _ni_candidates(p.ni), (0,), _divisor_candidates(min(p.co, 128), 1), (0,), (0, 1)
+    )
+    b_ni, _, b_co, _, promote_filter = points.T
+    ni = _ni_block(b_ni, p.ni)
+    return points, _ldm_fits(ni * p.b, ni, promote_filter, b_co * p.b * p.no, p, spec)
 
 
 #: The two loop-schedule families of the search space (Algorithms 1 and 2).
 FAMILIES = ("image-size-aware", "batch-size-aware")
 
 
-def enumerate_candidates(
+@dataclass(frozen=True, eq=False)
+class SearchSpace:
+    """One shape's search space: the direct points as one int64 row
+    ``(b_ni, b_b, b_co, promote_input, promote_filter)`` per blocking (the
+    ``image`` image-size-aware rows first; ``b_ni`` 0 is the whole
+    reduction) times ``shapes``, then the lowered candidates.  Direct point
+    ``i`` is blocking ``i // len(shapes)`` at ``shapes[i % len(shapes)]``.
+    """
+
+    params: ConvParams
+    spec: SW26010Spec
+    image: int
+    blockings: np.ndarray
+    shapes: Tuple[RegisterBlocking, ...]
+    lowered: Tuple[Candidate, ...] = ()
+
+    @property
+    def direct(self) -> int:
+        """Number of direct points (they come first)."""
+        return len(self.blockings) * len(self.shapes)
+
+    def __len__(self) -> int:
+        return self.direct + len(self.lowered)
+
+    def candidate(self, index: int) -> Candidate:
+        """The search point at ``index``, as a :class:`Candidate`."""
+        if index >= self.direct:
+            return self.lowered[index - self.direct]
+        row, shape = divmod(index, len(self.shapes))
+        b_ni, b_b, b_co, promote_input, promote_filter = self.blockings[row].tolist()
+        blocking: Union[ImageBlocking, BatchBlocking]
+        if row < self.image:
+            blocking = ImageBlocking(
+                b_b, b_co, bool(promote_input), bool(promote_filter), b_ni or None
+            )
+        else:
+            blocking = BatchBlocking(b_co, bool(promote_filter), b_ni or None)
+        return Candidate(FAMILIES[row >= self.image], blocking, self.shapes[shape])
+
+    @classmethod
+    def of(
+        cls, candidate: Candidate, params: ConvParams, spec: SW26010Spec
+    ) -> "SearchSpace":
+        """The one-point space of a direct candidate."""
+        blk = candidate.blocking
+        image = isinstance(blk, ImageBlocking)
+        row = [blk.b_ni or 0, blk.b_b if image else 0, blk.b_co,
+               image and blk.promote_input, blk.promote_filter]
+        blockings = np.array([row], dtype=np.int64)
+        return cls(params, spec, int(image), blockings, (candidate.register_blocking,))
+
+
+def search_space(
     params: ConvParams,
     spec: SW26010Spec = DEFAULT_SPEC,
     register_blockings: Optional[Sequence[RegisterBlocking]] = None,
     families: Optional[Sequence[str]] = None,
     algorithms: Union[None, str, Sequence[str]] = None,
-) -> List[Candidate]:
-    """All LDM- and register-feasible candidates for one conv shape.
+) -> SearchSpace:
+    """All LDM- and register-feasible points for one conv shape.
 
     The cross product (algorithms x families x blockings x register shapes)
     is pruned to feasibility only — ranking is the tuner's job (the
-    analytic model scores candidates in closed form, so a few thousand
-    points cost milliseconds).
+    analytic model scores the direct columns in closed form, one NumPy
+    pass per term).
 
     ``families`` restricts the search to a subset of :data:`FAMILIES` —
     e.g. the serving pool tunes within ``("image-size-aware",)`` only,
@@ -249,40 +308,38 @@ def enumerate_candidates(
             raise ValueError("families must name at least one plan family")
     if register_blockings is None:
         register_blockings = DEFAULT_REGISTER_BLOCKINGS
-    shapes = [rb for rb in register_blockings if rb.is_feasible(spec)]
+    shapes = tuple(
+        dict.fromkeys(rb for rb in register_blockings if rb.is_feasible(spec))
+    )
     if not shapes:
         raise ValueError("no register-feasible blocking shape in the search set")
-    out: List[Candidate] = []
-    seen = set()
-    if "direct" in algos:
-        if "image-size-aware" in families:
-            for blocking in _image_blockings(params, spec):
-                for rb in shapes:
-                    cand = Candidate("image-size-aware", blocking, rb)
-                    if cand not in seen:
-                        seen.add(cand)
-                        out.append(cand)
-        if "batch-size-aware" in families:
-            for blocking in _batch_blockings(params, spec):
-                for rb in shapes:
-                    cand = Candidate("batch-size-aware", blocking, rb)
-                    if cand not in seen:
-                        seen.add(cand)
-                        out.append(cand)
-    for algo in algos:
-        if algo == "direct" or not algorithm_legal(algo, params):
-            continue
-        # Lowered kernels run the fixed mesh-GEMM inner loop; the paper's
-        # register blocking is always feasible, so the search dimension is
-        # the GEMM tile shape alone.
-        for blocking in enumerate_gemm_blockings(algo, params, spec):
-            cand = Candidate(
-                family=algo,
-                blocking=blocking,
-                register_blocking=PAPER_REGISTER_BLOCKING,
-                algorithm=algo,
-            )
-            if cand not in seen:
-                seen.add(cand)
-                out.append(cand)
-    return out
+    image = batch = np.zeros((0, 5), dtype=np.int64)
+    if "direct" in algos and FAMILIES[0] in families:
+        points, fits = _image_grid(params, spec)
+        image = points[fits]
+    if "direct" in algos and FAMILIES[1] in families:
+        points, fits = _batch_grid(params, spec)
+        batch = points[fits]
+    # Lowered kernels run the fixed mesh-GEMM inner loop; the paper's
+    # register blocking is always feasible, so the search dimension is
+    # the GEMM tile shape alone.
+    lowered = tuple(
+        Candidate(algo, blocking, PAPER_REGISTER_BLOCKING, algorithm=algo)
+        for algo in algos
+        if algo != "direct" and algorithm_legal(algo, params)
+        for blocking in enumerate_gemm_blockings(algo, params, spec)
+    )
+    blockings = np.concatenate([image, batch])
+    return SearchSpace(params, spec, len(image), blockings, shapes, lowered)
+
+
+def enumerate_candidates(
+    params: ConvParams,
+    spec: SW26010Spec = DEFAULT_SPEC,
+    register_blockings: Optional[Sequence[RegisterBlocking]] = None,
+    families: Optional[Sequence[str]] = None,
+    algorithms: Union[None, str, Sequence[str]] = None,
+) -> List[Candidate]:
+    """Every point of :func:`search_space` as a :class:`Candidate`, in order."""
+    space = search_space(params, spec, register_blockings, families, algorithms)
+    return [space.candidate(i) for i in range(len(space))]

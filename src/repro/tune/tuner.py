@@ -2,13 +2,14 @@
 
 ``autotune()`` picks the fastest execution plan for one conv shape:
 
-1. every LDM/register-feasible candidate is enumerated
-   (:func:`~repro.tune.space.enumerate_candidates`);
-2. each is scored with the closed-form three-level roofline model
-   (:func:`score_candidate` — no schedule is compiled, so thousands of
-   points cost milliseconds);
+1. every LDM/register-feasible point is enumerated as NumPy columns
+   (:func:`~repro.tune.space.search_space`);
+2. all are scored at once with the closed-form three-level roofline model
+   (:func:`score_space` — no schedule is compiled, no per-point object is
+   built) and ranked by one stable sort;
 3. the best ``top_k`` by model score — plus the heuristic planner's choice,
-   so the tuner can never do worse than the status quo — are *measured* by
+   so the tuner can never do worse than the status quo — become
+   :class:`~repro.tune.space.Candidate` objects and are *measured* by
    walking their timed schedules on the simulator, fanned out over
    processes with :func:`~repro.common.parallel.parallel_map`;
 4. the measured winner is persisted in the :class:`~repro.tune.cache.PlanCache`
@@ -22,16 +23,18 @@ measured ones.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.common.errors import LDMOverflowError, PlanError
 from repro.common.parallel import parallel_map
 from repro.core.algorithms import engine_for_plan, resolve_algorithms
 from repro.core.conv import ConvolutionEngine, effective_mesh_size
-from repro.core.ldm_blocking import ImageBlocking
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan
 from repro.core.layout import batch_plan_block_bytes, image_plan_block_bytes
@@ -47,9 +50,10 @@ from repro.perf.equations import (
     rbw_mem_ldm_image_plan_promoted,
 )
 from repro.perf.model import PerformanceEstimate, _measured_ee
+from repro.perf.roofline import bandwidth_bound_fraction
 from repro.telemetry import current_telemetry
 from repro.tune.cache import PlanCache
-from repro.tune.space import Candidate, enumerate_candidates
+from repro.tune.space import Candidate, SearchSpace, _ni_block, search_space
 
 
 @dataclass
@@ -77,10 +81,71 @@ def _oracle_mbw(block: int) -> float:
     )
 
 
-@lru_cache(maxsize=64)
-def _oracle_rbw_reg(rb_b: int, rb_no: int, peak_flops: float) -> float:
-    """Eq. 5's LDM->REG bandwidth demand of one register shape."""
-    return rbw_ldm_reg_gemm_simd(rb_b, rb_no, peak_flops=peak_flops)
+def _per_distinct(fn: Callable[[Any], float], keys: np.ndarray) -> np.ndarray:
+    """``fn`` called once per distinct key, its results mapped onto ``keys``."""
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array([fn(key) for key in distinct.tolist()], dtype=float)[inverse]
+
+
+def _model_terms(
+    space: SearchSpace,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float]]:
+    """EE (blockings x shapes), RBW_mem and MBW_mem (per blocking) and
+    Eq. 5's RBW (per shape) of the direct points.  The Eq. 1/2 functions
+    run on the columns, whose elementwise arithmetic rounds like the scalar
+    call; the memoized lookups run once per distinct key."""
+    p, spec = space.params, space.spec
+    peak = spec.peak_flops_per_cg
+    img, bat = slice(None, space.image), slice(space.image, None)
+    b_ni, b_b, b_co, promote_input, promote_filter = space.blockings.T
+    iterations = np.maximum(1, -(-_ni_block(b_ni, p.ni) // 8))
+    ee = np.stack([
+        _per_distinct(lambda k: _measured_ee(k, rb.rb_b // 4, rb.rb_no), iterations)
+        for rb in space.shapes
+    ], axis=-1)
+    rbw_mem = np.concatenate([
+        np.where(
+            promote_input[img],
+            rbw_mem_ldm_image_plan_promoted(b_co[img], b_b[img], p.no, p.kc, peak),
+            rbw_mem_ldm_image_plan(b_co[img], b_b[img], p.no, peak),
+        ),
+        np.where(
+            promote_filter[bat],
+            rbw_mem_ldm_batch_plan_promoted(p.kc, p.no, p.b, b_co[bat], peak),
+            rbw_mem_ldm_batch_plan(p.kc, p.no, p.b, peak),
+        ),
+    ])
+    runs = np.minimum(p.co, b_co) + (p.kc - 1) * promote_input
+    mbw_mem = np.concatenate([
+        _per_distinct(lambda run: _oracle_mbw(image_plan_block_bytes(run)), runs[img]),
+        np.full(len(b_co) - space.image, _oracle_mbw(batch_plan_block_bytes(p.b))),
+    ])
+    rbw_reg = [
+        rbw_ldm_reg_gemm_simd(rb.rb_b, rb.rb_no, peak_flops=spec.peak_flops_per_cpe)
+        for rb in space.shapes
+    ]
+    return ee, rbw_mem, mbw_mem, rbw_reg
+
+
+def score_space(space: SearchSpace) -> np.ndarray:
+    """Model flop/s of every point of ``space``, in enumeration order.
+
+    A direct point's score equals :attr:`PerformanceEstimate.flops` of its
+    terms under ``float.hex``: each square is Python's ``v ** 2`` (libm
+    ``pow``, which differs from NumPy's ``v * v`` in the last bit on some
+    inputs), taken once per distinct ``min(1, MBW/RBW)``, and
+    ``peak x EE x mem² x reg²`` is multiplied left to right.  Lowered
+    candidates follow, scored by their plan's own GEMM-roofline estimate.
+    """
+    spec = space.spec
+    ee, rbw_mem, mbw_mem, rbw_reg = _model_terms(space)
+    mem = _per_distinct(lambda v: v ** 2, np.minimum(1.0, mbw_mem / rbw_mem))
+    reg = np.array(
+        [bandwidth_bound_fraction(r, spec.ldm_bandwidth) ** 2 for r in rbw_reg]
+    )
+    direct = spec.peak_flops_per_cg * ee * mem[:, None] * reg
+    lowered = [c.build(space.params, spec).estimate().flops for c in space.lowered]
+    return np.concatenate([direct.ravel(), np.array(lowered, dtype=float)])
 
 
 def score_candidate(
@@ -95,9 +160,8 @@ def score_candidate(
     variant (promotion-aware), MBW_mem from a two-stream Table II read at
     the family's leading-dimension block size, and EE from the simulated
     dual-pipeline kernel at the candidate's register shape and ``bNi``.
-    The pure lookups (EE, MBW per block size, Eq. 5's RBW per register
-    shape) are memoized, so scoring thousands of candidates of one shape
-    interpolates each Table II point once.
+    A direct candidate is the one-point view of :func:`score_space`'s
+    terms, so its ``flops`` equals the candidate's entry there.
 
     Lowered candidates (im2col, Winograd) are scored by their plan's own
     GEMM-roofline estimate — building a lowered plan is O(1), no schedule
@@ -106,53 +170,28 @@ def score_candidate(
     """
     if candidate.algorithm != "direct":
         return candidate.build(params, spec).estimate()
-    p = params
-    blk = candidate.blocking
-    rb = candidate.register_blocking
-    ni_block = blk.ni_block(p.ni)
-    iterations = max(1, -(-ni_block // 8))
-    ee = _measured_ee(iterations, rb.rb_b // 4, rb.rb_no)
-    if isinstance(blk, ImageBlocking):
-        if blk.promote_input:
-            rbw_mem = rbw_mem_ldm_image_plan_promoted(
-                blk.b_co, blk.b_b, p.no, p.kc, peak_flops=spec.peak_flops_per_cg
-            )
-            block = image_plan_block_bytes(min(p.co, blk.b_co) + p.kc - 1)
-        else:
-            rbw_mem = rbw_mem_ldm_image_plan(
-                blk.b_co, blk.b_b, p.no, peak_flops=spec.peak_flops_per_cg
-            )
-            block = image_plan_block_bytes(min(p.co, blk.b_co))
-    else:
-        if blk.promote_filter:
-            rbw_mem = rbw_mem_ldm_batch_plan_promoted(
-                p.kc, p.no, p.b, blk.b_co, peak_flops=spec.peak_flops_per_cg
-            )
-        else:
-            rbw_mem = rbw_mem_ldm_batch_plan(
-                p.kc, p.no, p.b, peak_flops=spec.peak_flops_per_cg
-            )
-        block = batch_plan_block_bytes(p.b)
+    ee, rbw_mem, mbw_mem, rbw_reg = _model_terms(
+        SearchSpace.of(candidate, params, spec)
+    )
     return PerformanceEstimate(
         plan=candidate.family,
         peak_flops=spec.peak_flops_per_cg,
-        execution_efficiency=ee,
-        rbw_mem=rbw_mem,
-        mbw_mem=_oracle_mbw(block),
-        rbw_reg=_oracle_rbw_reg(rb.rb_b, rb.rb_no, spec.peak_flops_per_cpe),
+        execution_efficiency=float(ee[0, 0]),
+        rbw_mem=float(rbw_mem[0]),
+        mbw_mem=float(mbw_mem[0]),
+        rbw_reg=rbw_reg[0],
         mbw_reg=spec.ldm_bandwidth,
     )
 
 
 def _measure_job(
-    job: Tuple[Dict[str, Any], Dict[str, int], SW26010Spec, int]
+    job: Tuple[Candidate, Dict[str, int], SW26010Spec, int]
 ) -> Tuple[float, float]:
     """Worker: timed schedule walk of one candidate; returns (seconds, gflops).
 
     Module-level so :func:`parallel_map` can pickle it.
     """
-    cand_dict, params_dict, spec, fused_pool = job
-    candidate = Candidate.from_dict(cand_dict)
+    candidate, params_dict, spec, fused_pool = job
     params = params_from_dict(params_dict)
     plan = candidate.build(params, spec)
     report = engine_for_plan(plan, spec=spec, fused_pool=fused_pool).evaluate()
@@ -280,18 +319,15 @@ def autotune(
                 ),
             )
 
-    candidates = enumerate_candidates(
+    space = search_space(
         params,
         spec,
         register_blockings=register_blockings,
         families=families,
         algorithms=algorithms,
     )
-    scored = sorted(
-        candidates,
-        key=lambda c: score_candidate(c, params, spec).flops,
-        reverse=True,
-    )
+    # Stable, so ties keep enumeration order, as ``sorted(reverse=True)`` does.
+    ranked = np.argsort(-score_space(space), kind="stable").tolist()
     survivors: List[Candidate] = []
     seeds: List[Candidate] = []
     if "direct" in resolved_algorithms:
@@ -303,10 +339,11 @@ def autotune(
     # a different roofline than the direct ones, so a cross-family ranking
     # error could otherwise exclude a whole family from the measured set.
     # The measurement — not the model — must decide the winner.
+    lowered = [space.candidate(i) for i in ranked if i >= space.direct]
     for algo in resolved_algorithms:
         if algo == "direct":
             continue
-        for cand in scored:
+        for cand in lowered:
             if cand.algorithm == algo:
                 seeds.append(cand)
                 break
@@ -314,14 +351,13 @@ def autotune(
     # the zoo's measured set must be a superset of the direct-only one, or
     # adding algorithms could displace the direct winner and regress.
     budget = max(1, top_k) + sum(1 for s in seeds if s.algorithm != "direct")
-    for cand in seeds + scored:
-        if len(survivors) > budget:
-            break
-        if cand in survivors:
-            continue
-        if not _fused_feasible(cand, params, spec, fused_pool):
+    # A ranked point becomes a Candidate only when the walk reaches it.
+    for cand in itertools.chain(seeds, map(space.candidate, ranked)):
+        if cand in survivors or not _fused_feasible(cand, params, spec, fused_pool):
             continue
         survivors.append(cand)
+        if len(survivors) > budget:
+            break
     if not survivors:
         raise PlanError(
             f"no candidate for {params.describe()} can host a fused "
@@ -335,7 +371,7 @@ def autotune(
     if fault_plan is None:
         results = parallel_map(
             _measure_job,
-            [(c.to_dict(), params_dict, spec, fused_pool) for c in survivors],
+            [(c, params_dict, spec, fused_pool) for c in survivors],
             jobs=jobs,
         )
     else:
@@ -362,7 +398,7 @@ def autotune(
         tuning = {
             "gflops": gflops,
             "seconds": seconds,
-            "candidates": len(candidates),
+            "candidates": len(space),
             "measured": len(survivors),
             "winner": winner.describe(),
         }
@@ -385,7 +421,7 @@ def autotune(
         gflops=gflops,
         seconds=seconds,
         source="tuned",
-        candidates=len(candidates),
+        candidates=len(space),
         measured=len(survivors),
         cache_path=cache_path,
     )

@@ -173,6 +173,7 @@ def _oracle(tmp_path):
 
 #: One document of every kind: the committed records plus small fresh ones.
 DOCUMENTS = {
+    schema.AUTOTUNE_SCHEMA: _committed("BENCH_autotune.json"),
     schema.FLEET_SCHEMA: _committed("BENCH_fleet.json"),
     schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
     schema.CHAOS_FLEET_SCHEMA: _chaos_fleet,
@@ -227,6 +228,24 @@ class TestValidate:
 def _committed_record(name):
     with open(BENCH_DIR / name) as fh:
         return json.load(fh)
+
+
+class TestAutotuneRecord:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("heuristic_vs_tuned", "tuned_gflops", 400.0),
+            ("heuristic_vs_tuned", "measured", 10**6),
+            ("plan_cache", "warm_measured", 1),
+            ("parity", "matches_reference", False),
+        ],
+    )
+    def test_each_bar_gives_one_line(self, section, key, value):
+        record = _committed_record("BENCH_autotune.json")
+        record[section][key] = value
+        violations = schema.validate(record)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"{section}.{key}:")
 
 
 class TestSmokeGates:

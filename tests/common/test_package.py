@@ -1,5 +1,6 @@
 """Top-level package surface: lazy exports, error hierarchy, CPE counters,
-and that every module has a caller outside the tests."""
+that every module has a caller outside the tests, and that every imported
+name is read."""
 
 import ast
 from pathlib import Path
@@ -163,3 +164,72 @@ class TestEveryModuleHasACaller:
     def test_exceptions_are_still_unimported(self):
         stale = sorted(set(UNIMPORTED) - set(_unimported_modules()))
         assert stale == [], f"{stale} now have a caller; drop them from UNIMPORTED"
+
+
+def _string_annotation_names(annotation):
+    """Names inside the string annotations of one annotation expression."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                parsed = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+def _unread_imports(tree):
+    """``(line, name)`` of every name an import binds that nothing reads.
+
+    A name counts as read when it is loaded, appears in a string
+    annotation, or is listed in ``__all__``; ``__future__`` imports bind
+    nothing.
+    """
+    bound = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read.update(
+                n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)
+            )
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if annotation is not None:
+            read |= _string_annotation_names(annotation)
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+class TestEveryImportIsRead:
+    def test_no_unread_import(self):
+        """Package ``__init__`` modules re-export what they import; every
+        other module must read each name it imports."""
+        stray = [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for path in sorted((SRC / "repro").rglob("*.py"))
+            if path.name != "__init__.py"
+            for line, name in _unread_imports(ast.parse(path.read_text()))
+        ]
+        assert stray == [], f"imported but never read: {stray}"
+
+    def test_scan_sees_reads_in_annotations_and_all(self):
+        tree = ast.parse(
+            "from __future__ import annotations\n"
+            "import numpy as np\n"
+            "from typing import List, Optional\n"
+            "from os import path, sep\n"
+            "__all__ = ['sep']\n"
+            "def f(x: 'Optional[int]') -> List[int]:\n"
+            "    return []\n"
+        )
+        assert _unread_imports(tree) == [(2, "np"), (4, "path")]
