@@ -6,8 +6,6 @@ stdout (run ``pytest benchmarks/ --benchmark-only -s`` to see them inline)
 and attached to the benchmark records as ``extra_info``.
 """
 
-import pytest
-
 
 def pytest_collection_modifyitems(items):
     # Benchmarks are ordered to mirror the paper's presentation.

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from repro.common.schema import FASTPATH_SCHEMA, validate
 from repro.core.conv import ConvolutionEngine, clear_timing_cache
 from repro.core.layers import SoftmaxCrossEntropy
 from repro.core.ldm_blocking import ImageBlocking
@@ -42,7 +43,7 @@ def _timed(fn, *args, **kwargs):
 
 
 def test_bench_fastpath(benchmark):
-    record = {}
+    record = {"schema": FASTPATH_SCHEMA}
 
     # -- 1. conv forward: mesh vs mesh-fast, same plan, same inputs --------
     rng = np.random.default_rng(0xC0FFEE)
@@ -124,6 +125,8 @@ def test_bench_fastpath(benchmark):
         "steady_step_seconds": round(steady_step_seconds, 4),
     }
 
+    violations = validate(record)
+    assert violations == [], f"schema violations: {violations}"
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

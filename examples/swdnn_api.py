@@ -12,7 +12,6 @@ Run:  python examples/swdnn_api.py
 import numpy as np
 
 from repro.api import (
-    ConvolutionFwdAlgo,
     FilterDescriptor,
     SwDNNHandle,
     TensorDescriptor,

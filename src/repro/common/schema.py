@@ -29,6 +29,7 @@ AUTOTUNE_SCHEMA = "repro.autotune/v1"
 CHAOS_FLEET_SCHEMA = "repro.chaos_fleet/v1"
 CHAOS_SERVE_SCHEMA = "repro.chaos_serve/v1"
 DATAPARALLEL_SCHEMA = "repro.dataparallel/v1"
+FASTPATH_SCHEMA = "repro.fastpath/v1"
 FLEET_SCHEMA = "repro.fleet/v1"
 FLIGHT_SCHEMA = "repro.flight/v1"
 METRICS_SCHEMA = "repro.metrics/v1"
@@ -43,6 +44,8 @@ MIN_AFFINITY_HIT_RATE = 0.90
 MIN_OVERLAP_SPEEDUP = 1.2
 #: Mild superlinear scaling (cache/batch effects) is fine; more is a bug.
 MAX_EFFICIENCY = 1.25
+#: How much faster than the full bus-protocol simulation mesh-fast must run.
+MIN_FASTPATH_SPEEDUP = 5.0
 
 _TYPES = {"str": str, "int": int, "number": (int, float), "bool": bool, "any": object}
 
@@ -547,12 +550,52 @@ def _autotune_rules(doc: Dict[str, Any]) -> List[str]:
     return [message for ok, message in bars if not ok]
 
 
+# Fast-path bench record.
+_FASTPATH = {
+    "conv_forward": {
+        "params": "str",
+        "blocking": {"b_b": "int", "b_co": "int"},
+        **dict.fromkeys(
+            ("mesh_seconds", "mesh_fast_verify_seconds", "mesh_fast_seconds",
+             "speedup"),
+            "number",
+        ),
+        "bit_identical": "bool",
+    },
+    "fig7_subset": {
+        "configs": "int",
+        **dict.fromkeys(
+            ("serial_seconds", "jobs4_seconds", "serial_configs_per_second",
+             "jobs4_configs_per_second"),
+            "number",
+        ),
+    },
+    "train_step": {
+        "batch": "int",
+        **dict.fromkeys(("first_step_seconds", "steady_step_seconds"), "number"),
+    },
+}
+
+
+def _fastpath_rules(doc: Dict[str, Any]) -> List[str]:
+    forward = doc["conv_forward"]
+    bars = [
+        (forward["bit_identical"],
+         "conv_forward.bit_identical: mesh-fast is not bit-identical to mesh"),
+        (forward["speedup"] >= MIN_FASTPATH_SPEEDUP,
+         f"conv_forward.speedup: {forward['speedup']} below "
+         f"{MIN_FASTPATH_SPEEDUP}"),
+    ]
+    return [message for ok, message in bars if not ok]
+
+
 #: Tag -> (spec, invariants).
 KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
     AUTOTUNE_SCHEMA: (_AUTOTUNE, _autotune_rules),
     CHAOS_FLEET_SCHEMA: (_CHAOS_FLEET, _chaos_fleet_rules),
     CHAOS_SERVE_SCHEMA: (_CHAOS_SERVE, _chaos_serve_rules),
     DATAPARALLEL_SCHEMA: (_DATAPARALLEL, _dataparallel_rules),
+    FASTPATH_SCHEMA: (_FASTPATH, _fastpath_rules),
     FLEET_SCHEMA: (_FLEET, _fleet_rules),
     FLIGHT_SCHEMA: (_FLIGHT, lambda doc: []),
     METRICS_SCHEMA: (_METRICS, _metrics_rules),

@@ -7,10 +7,14 @@ A plan is walked twice, for two concerns (see :mod:`repro.core.plans`):
   ("numpy" backend) or through the register-communication mesh schedule
   ("mesh" and "mesh-fast" backends) — so a plan's output is compared
   against :func:`repro.core.reference.conv2d_reference`.  The mesh
-  backends hand each run of consecutive same-shape updates to the mesh as
-  one stack (up to :data:`MESH_STACK_BYTES` of operands) and add the
-  products to their output windows in schedule order.  This walk prices
-  nothing.
+  backends run the plan's compiled walk
+  (:meth:`~repro.core.plans.ConvPlan.compiled_walk`, built once per plan):
+  each run of consecutive same-shape updates, up to
+  :data:`~repro.core.plans.MESH_STACK_BYTES` of operands, is one stack.
+  A stack gathers its W and D operands by precomputed offsets, goes to
+  the mesh in one call, and adds its products to the output in scatter
+  rounds whose targets are disjoint, so every output element still
+  receives its products in schedule order.  This walk prices nothing.
 * **Timed**: each distinct tile of the plan's run-length tile program is
   priced once — its DMA transfers against the Table II bandwidth curve
   (with the calibrated stride derate), its GEMM against the reordered
@@ -106,14 +110,6 @@ class _StepCost:
 #: statistics); "numpy" computes the updates directly, tile by tile, without
 #: touching the mesh.
 BACKENDS = ("numpy", "mesh", "mesh-fast")
-
-#: Operand bytes (W and D) of one stack of same-shape tile GEMMs that the
-#: mesh backends hand to :meth:`MeshGemm.multiply` in one call.  Tile GEMMs
-#: are tiny (a few KiB), so per-call Python overhead dominates unless many
-#: share a call; 256 KiB stacks a few dozen to a few hundred tiles while
-#: the stack, its products and the strategy's temporaries stay around a
-#: megabyte, so peak memory does not grow with the layer.
-MESH_STACK_BYTES = 256 * 1024
 
 #: Memoized timed walks of every engine family (direct and lowered): plan
 #: signature + timing knobs -> TimingReport.  Repeated layers (training),
@@ -363,6 +359,24 @@ def effective_mesh_size(mesh_size: int, fenced) -> int:
         if size <= bound and mesh_size % size == 0:
             return size
     return 0
+
+
+def _blocks(flat: np.ndarray, shape: Tuple[int, ...], strides: Tuple[int, ...]) -> np.ndarray:
+    """Every block of ``flat`` of this shape and these element strides.
+
+    Indexed by the offset of its first element: a view whose blocks
+    overlap and whose writes go through to ``flat``, so blocks written
+    together must be disjoint.
+    """
+    extent = sum((n - 1) * stride for n, stride in zip(shape, strides))
+    item = flat.itemsize
+    return np.ndarray(
+        (flat.size - extent,) + tuple(shape),
+        flat.dtype,
+        flat,
+        0,
+        (item,) + tuple(stride * item for stride in strides),
+    )
 
 
 class ConvolutionEngine:
@@ -726,15 +740,17 @@ class ConvolutionEngine:
         output (B, No, Ro/s, Co/s) and the DMA puts move only the pooled
         bytes (see :class:`repro.core.fusion.FusedConvBlock`).
 
-        ``filter_version`` opts into memoized weight-layout packing: the
-        contiguous per-``(kr, kc, ni-block)`` filter slices the schedule
-        reads are packed once per ``(w, version)`` pair and reused across
-        forward calls, and the numpy backend multiplies the packed operand
-        directly (``w_pack @ window``) instead of reducing a strided view —
-        the repeated-inference fast path.  Callers that mutate ``w`` in
-        place must bump the version (see
+        ``filter_version`` opts the numpy backend into memoized
+        weight-layout packing: the contiguous per-``(kr, kc, ni-block)``
+        filter slices the schedule reads are packed once per
+        ``(w, version)`` pair and reused across forward calls, and
+        multiplied directly (``w_pack @ window``) instead of reducing a
+        strided view — the repeated-inference fast path.  Callers that
+        mutate ``w`` in place must bump the version (see
         :meth:`~repro.core.layers.Layer.notify_parameter_update`); passing
-        ``None`` (the default) skips packing entirely.
+        ``None`` (the default) skips packing entirely.  The mesh backends
+        gather each stack's filter operands from ``w`` itself and ignore
+        it.
         """
         p = self.plan.params
         if x.shape != p.input_shape:
@@ -769,62 +785,13 @@ class ConvolutionEngine:
     ) -> np.ndarray:
         p = self.plan.params
         out = np.zeros(p.output_shape, dtype=np.float64)
-        pack = (
-            self._filter_pack_for(w, filter_version)
-            if filter_version is not None
-            else None
-        )
         if self._mesh_gemm is not None:
             # Bus/LDM statistics describe one plan execution, not the
             # engine's lifetime.
             self._mesh_gemm.reset_stats()
-
-        # Mesh backends queue consecutive same-shape updates and multiply
-        # them as one stack (see _mesh_compute); the queue lives only for
-        # this run, so a run that raises leaves nothing behind.
-        pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        pending_bytes = 0
-        for step in self.plan.compiled_schedule():
-            for c in step.computes:
-                ni_len = c.ni_len if c.ni_len >= 0 else p.ni
-                ni_slice = slice(c.ni0, c.ni0 + ni_len)
-                window = x[
-                    c.bb : c.bb + c.bb_len,
-                    ni_slice,
-                    c.ro + c.kr,
-                    c.co + c.kc : c.co + c.kc + c.co_len,
-                ]
-                target = out[c.bb : c.bb + c.bb_len, :, c.ro, c.co : c.co + c.co_len]
-                if pack is not None:
-                    key = (c.kr, c.kc, c.ni0)
-                    w_slice = pack.get(key)
-                    if w_slice is None:
-                        w_slice = np.ascontiguousarray(w[:, ni_slice, c.kr, c.kc])
-                        pack[key] = w_slice
-                        self.telemetry.counters.add("engine.filter_pack.packs")
-                    if self.backend == "numpy":
-                        # Packed operand: one BLAS-dispatched matmul on the
-                        # contiguous slice, bit-identical to the einsum
-                        # reduction below (same per-element dot order) at a
-                        # fraction of its dispatch cost.
-                        target += w_slice @ window
-                        continue
-                else:
-                    w_slice = w[:, ni_slice, c.kr, c.kc]
-                if self.backend == "numpy":
-                    target += np.einsum("on,bnc->boc", w_slice, window, optimize=True)
-                    continue
-                pair_bytes = (w_slice.size + window.size) * window.itemsize
-                if pending and (
-                    window.shape != pending[0][1].shape
-                    or pending_bytes + pair_bytes > MESH_STACK_BYTES
-                ):
-                    self._mesh_compute(pending)
-                    pending_bytes = 0
-                pending.append((w_slice, window, target))
-                pending_bytes += pair_bytes
-        if pending:
-            self._mesh_compute(pending)
+            self._run_stacks(x, w, out)
+        else:
+            self._run_updates(x, w, out, filter_version)
         # Fused epilogue: on hardware this runs per output tile while it is
         # still in LDM (before the DMA put), so it adds no memory traffic
         # and hides under P1; functionally it is elementwise, so applying
@@ -853,34 +820,73 @@ class ConvolutionEngine:
                     )
         return out
 
-    def _mesh_compute(
-        self, pending: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    def _run_updates(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        out: np.ndarray,
+        filter_version: Optional[int],
     ) -> None:
-        """A run of same-shape GEMM updates as one register-comm stack.
-
-        ``pending`` holds ``(w_slice, window, target)`` updates in schedule
-        order, every window of one shape.  They are multiplied as one stack
-        (each pair is still one Fig. 3 schedule, in the same order), and
-        the products are added to their output windows in schedule order,
-        so the output is bit-identical to updating tile by tile.  Empties
-        ``pending``.
-        """
-        assert self._mesh_gemm is not None
-        bb_len, ni, co_len = pending[0][1].shape
-        w = np.stack([w_slice for w_slice, _, _ in pending])
-        # Stacking into a C-ordered buffer makes the reshape below a view
-        # (np.stack alone keeps the windows' transposed layout).
-        d = np.stack(
-            [window.transpose(1, 0, 2) for _, window, _ in pending],
-            out=np.empty((len(pending), ni, bb_len, co_len)),
+        """The numpy backend: each compute update in turn, straight into ``out``."""
+        p = self.plan.params
+        pack = (
+            self._filter_pack_for(w, filter_version)
+            if filter_version is not None
+            else None
         )
-        products = self._mesh_gemm.multiply(
-            w, d.reshape(len(pending), ni, bb_len * co_len)
-        )  # (T, No, bb_len*co_len)
-        no = w.shape[1]
-        for (_, _, target), product in zip(pending, products):
-            target += product.reshape(no, bb_len, co_len).transpose(1, 0, 2)
-        pending.clear()
+        for step in self.plan.compiled_schedule():
+            for c in step.computes:
+                ni_len = c.ni_len if c.ni_len >= 0 else p.ni
+                ni_slice = slice(c.ni0, c.ni0 + ni_len)
+                window = x[
+                    c.bb : c.bb + c.bb_len,
+                    ni_slice,
+                    c.ro + c.kr,
+                    c.co + c.kc : c.co + c.kc + c.co_len,
+                ]
+                target = out[c.bb : c.bb + c.bb_len, :, c.ro, c.co : c.co + c.co_len]
+                if pack is not None:
+                    key = (c.kr, c.kc, c.ni0)
+                    w_slice = pack.get(key)
+                    if w_slice is None:
+                        w_slice = np.ascontiguousarray(w[:, ni_slice, c.kr, c.kc])
+                        pack[key] = w_slice
+                        self.telemetry.counters.add("engine.filter_pack.packs")
+                    # Packed operand: one BLAS-dispatched matmul on the
+                    # contiguous slice, bit-identical to the einsum
+                    # reduction below (same per-element dot order) at a
+                    # fraction of its dispatch cost.
+                    target += w_slice @ window
+                else:
+                    target += np.einsum(
+                        "on,bnc->boc", w[:, ni_slice, c.kr, c.kc], window, optimize=True
+                    )
+
+    def _run_stacks(self, x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        """The mesh backends: the plan's compiled walk, one stack at a time.
+
+        Each :class:`~repro.core.plans.GemmStack` gathers its W stack (one
+        strided block per pair) and its D stack (per input channel, a block
+        of ``co_len``-long input rows) by the compiled offsets, multiplies
+        them in one register-comm call (each pair is still one Fig. 3
+        schedule, in schedule order), and adds the products to their output
+        rows one scatter round at a time.  Operands, stacks and each
+        element's addition order are those of updating tile by tile, so the
+        output is bit-identical to it.
+        """
+        gemm = self._mesh_gemm
+        x_flat, w_flat, out_flat = x.ravel(), w.ravel(), out.reshape(-1)
+        for stack in self.plan.compiled_walk():
+            ni_len = stack.shape[1]
+            # (T, Ni-block, bb_len, co_len): each pair's window, channel-major.
+            d = _blocks(x_flat, *stack.x_block)[stack.x_base[:, None] + stack.x_pattern]
+            products = gemm.multiply(
+                _blocks(w_flat, *stack.w_block)[stack.w_base],
+                d.reshape(len(d), ni_len, -1),
+            ).reshape(d.shape[:1] + (-1,) + d.shape[2:])
+            targets = _blocks(out_flat, *stack.out_block)
+            for pairs, out_base in stack.rounds:
+                targets[out_base[:, None] + stack.out_pattern] += products[pairs]
 
 
 def conv_forward(

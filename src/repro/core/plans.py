@@ -26,7 +26,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+
+import numpy as np
 
 from repro.common.errors import PlanError
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
@@ -120,6 +122,134 @@ def expand_program(program: Iterable[Tuple[Tuple[_T, ...], int]]) -> Iterator[_T
     )
 
 
+#: Operand bytes (W and D) of one stack of same-shape tile GEMMs that the
+#: mesh backends hand to :meth:`~repro.core.register_comm.MeshGemm.multiply`
+#: in one call.  Tile GEMMs are tiny (a few KiB), so per-call Python
+#: overhead dominates unless many share a call; 256 KiB stacks a few dozen
+#: to a few hundred tiles while the stack, its products and the strategy's
+#: temporaries stay around a megabyte, so peak memory does not grow with
+#: the layer.
+MESH_STACK_BYTES = 256 * 1024
+
+
+#: The shape and element strides of a block of a C-order flattened
+#: tensor: the block at offset ``i`` holds ``flat[i + sum(j * stride)]``.
+BlockGeometry = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+@dataclass(frozen=True)
+class GemmStack:
+    """A run of consecutive same-shape GEMM updates, compiled to offsets.
+
+    Pair ``t`` is one :class:`ComputeSpec` update, in schedule order.  Its
+    operands are blocks of the C-order flattened tensors, each addressed
+    by the offset of its first element (``*_block`` gives the blocks'
+    geometry, shared by every pair of the stack):
+
+    * W: ``w_base[t]`` starts its (No x Ni-block) filter slice;
+    * D: ``x_base[t] + x_pattern`` starts, per input channel of the
+      Ni-block, the window's ``co_len``-long rows, one per image of the
+      batch block.
+
+    ``rounds`` is the scatter schedule, ``(pairs, out_base)`` per round in
+    order: ``pairs`` selects the round's pairs (a slice or an index array)
+    and ``out_base + out_pattern`` starts, per output channel, the
+    ``co_len``-long rows they add to, one per image.  A pair's round is one
+    more than the highest round of any earlier pair of the stack that
+    writes one of its output elements, so the targets of a round are
+    disjoint and every output element still receives its products in
+    schedule order.
+    """
+
+    #: ``(bb_len, ni_len, co_len)`` of every window of the stack.
+    shape: Tuple[int, int, int]
+    w_base: np.ndarray
+    x_base: np.ndarray
+    rounds: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray], ...]
+    x_pattern: np.ndarray
+    out_pattern: np.ndarray
+    w_block: BlockGeometry
+    x_block: BlockGeometry
+    out_block: BlockGeometry
+
+
+def _as_slice(index: np.ndarray) -> Union[slice, np.ndarray]:
+    """``index`` as a slice when it is an arithmetic progression."""
+    if len(index) == 1:
+        return slice(int(index[0]), int(index[0]) + 1)
+    step = int(index[1] - index[0])
+    if (np.diff(index) == step).all():
+        return slice(int(index[0]), int(index[-1]) + 1, step)
+    return index
+
+
+def _compile_walk(plan: "ConvPlan") -> Tuple[GemmStack, ...]:
+    """Partition the schedule's updates into stacks and compile each.
+
+    A stack is a run of consecutive updates of one window shape, cut where
+    its operands would pass :data:`MESH_STACK_BYTES` (an update larger
+    than that runs alone).
+    """
+    p = plan.params
+    computes = [c for step in plan.compiled_schedule() for c in step.computes]
+    fields = np.array(
+        [
+            (c.bb, c.ro, c.co, c.kr, c.kc, c.ni0,
+             c.bb_len, c.ni_len if c.ni_len >= 0 else p.ni, c.co_len)
+            for c in computes
+        ],
+        dtype=np.intp,
+    )
+    bb, ro, co, kr, kc, ni0 = fields[:, :6].T
+    shapes = fields[:, 6:]
+    w_base = (ni0 * p.kr + kr) * p.kc + kc
+    x_base = ((bb * p.ni + ni0) * p.ri + ro + kr) * p.ci + co + kc
+    out_base = (bb * p.no * p.ro + ro) * p.co + co
+    targets = fields[:, :3].tolist()
+    # The round that last wrote each output (batch, row, column), all
+    # channels at once; rounds are numbered across stacks, and ``floor``
+    # is the current stack's first.
+    last = np.full((p.b, p.ro, p.co), -1, dtype=np.intp)
+    floor = 0
+    layouts: Dict[Tuple[int, int, int], tuple] = {}
+    stacks = []
+    cuts = (np.flatnonzero((shapes[1:] != shapes[:-1]).any(axis=1)) + 1).tolist()
+    for start, stop in zip([0] + cuts, cuts + [len(computes)]):
+        shape = bb_len, ni_len, co_len = tuple(shapes[start].tolist())
+        pair_bytes = (p.no * ni_len + bb_len * ni_len * co_len) * DS
+        per_stack = max(1, MESH_STACK_BYTES // pair_bytes)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = (
+                np.arange(ni_len) * (p.ri * p.ci),
+                np.arange(p.no) * (p.ro * p.co),
+                ((p.no, ni_len), (p.ni * p.kr * p.kc, p.kr * p.kc)),
+                ((bb_len, co_len), (p.ni * p.ri * p.ci, 1)),
+                ((bb_len, co_len), (p.no * p.ro * p.co, 1)),
+            )
+        for first in range(start, stop, per_stack):
+            end = min(stop, first + per_stack)
+            rounds = []
+            for b0, r0, c0 in targets[first:end]:
+                cells = last[b0 : b0 + bb_len, r0, c0 : c0 + co_len]
+                rnd = max(int(cells.max()), floor - 1) + 1
+                cells[...] = rnd
+                rounds.append(rnd - floor)
+            count = max(rounds) + 1
+            floor += count
+            members = [np.flatnonzero(np.equal(rounds, r)) for r in range(count)]
+            stacks.append(
+                GemmStack(
+                    shape,
+                    w_base[first:end],
+                    x_base[first:end],
+                    tuple((_as_slice(m), out_base[first + m]) for m in members),
+                    *layout,
+                )
+            )
+    return tuple(stacks)
+
+
 class ConvPlan(abc.ABC):
     """Base class of the two loop-schedule families."""
 
@@ -140,6 +270,7 @@ class ConvPlan(abc.ABC):
         register_blocking.check_feasible(spec)
         self._streams_cache: Optional[List[DMAStream]] = None
         self._schedule: Optional[Tuple[TileStep, ...]] = None
+        self._walk: Optional[Tuple[GemmStack, ...]] = None
 
     # -- schedule -------------------------------------------------------------
 
@@ -178,6 +309,18 @@ class ConvPlan(abc.ABC):
         if self._schedule is None:
             self._schedule = tuple(self.tile_schedule())
         return self._schedule
+
+    def compiled_walk(self) -> Tuple[GemmStack, ...]:
+        """The schedule's updates as the mesh backends run them, cached.
+
+        Consecutive updates of one window shape form a :class:`GemmStack`
+        of up to :data:`MESH_STACK_BYTES` of operands, compiled once to flat
+        operand offsets and a scatter schedule; every engine of the plan
+        (the planner hands out one plan object per layer) shares it.
+        """
+        if self._walk is None:
+            self._walk = _compile_walk(self)
+        return self._walk
 
     def signature(self) -> Tuple:
         """Hashable identity of the schedule this plan generates.

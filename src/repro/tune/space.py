@@ -25,7 +25,7 @@ order, the register shape varying fastest.  Every point is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.core.register_blocking import (
     PAPER_REGISTER_BLOCKING,
     RegisterBlocking,
 )
-from repro.core.serialize import blocking_from_dict, blocking_to_dict
 from repro.hw.ldm import LDMAllocator, _round_up
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 
@@ -124,34 +123,6 @@ class Candidate:
                 f"{' +flt' if blk.promote_filter else ''}"
             )
         return f"{self.family}({body}) rb=({rb.rb_b},{rb.rb_no})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {
-            "family": self.family,
-            "blocking": blocking_to_dict(self.blocking),
-            "register_blocking": {
-                "rb_b": self.register_blocking.rb_b,
-                "rb_no": self.register_blocking.rb_no,
-            },
-        }
-        # Written only for lowered candidates, so pre-zoo serialized
-        # candidates (and the cache entries embedding them) are unchanged.
-        if self.algorithm != "direct":
-            out["algorithm"] = self.algorithm
-        return out
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "Candidate":
-        reg = data.get("register_blocking", {})
-        return Candidate(
-            family=str(data["family"]),
-            blocking=blocking_from_dict(data["blocking"]),
-            register_blocking=RegisterBlocking(
-                rb_b=int(reg.get("rb_b", 16)), rb_no=int(reg.get("rb_no", 4))
-            ),
-            # Pre-zoo dicts carry no algorithm field: they are direct.
-            algorithm=str(data.get("algorithm", "direct")),
-        )
 
 
 def _grid(*axes: Iterable[Optional[int]]) -> np.ndarray:

@@ -178,6 +178,7 @@ DOCUMENTS = {
     schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
     schema.CHAOS_FLEET_SCHEMA: _chaos_fleet,
     schema.DATAPARALLEL_SCHEMA: _committed("BENCH_dataparallel.json"),
+    schema.FASTPATH_SCHEMA: _committed("BENCH_fastpath.json"),
     schema.PROFILE_SCHEMA: _profile,
     schema.METRICS_SCHEMA: _metrics,
     schema.FLIGHT_SCHEMA: _flight,
@@ -246,6 +247,18 @@ class TestAutotuneRecord:
         violations = schema.validate(record)
         assert len(violations) == 1
         assert violations[0].startswith(f"{section}.{key}:")
+
+
+class TestFastpathRecord:
+    @pytest.mark.parametrize(
+        "key, value", [("bit_identical", False), ("speedup", 4.9)]
+    )
+    def test_each_bar_gives_one_line(self, key, value):
+        record = _committed_record("BENCH_fastpath.json")
+        record["conv_forward"][key] = value
+        violations = schema.validate(record)
+        assert len(violations) == 1
+        assert violations[0].startswith(f"conv_forward.{key}:")
 
 
 class TestSmokeGates:

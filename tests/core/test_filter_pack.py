@@ -10,7 +10,6 @@ weights.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.conv import ConvolutionEngine
 from repro.core.layers import Conv2D, ReLU

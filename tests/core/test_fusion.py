@@ -6,7 +6,6 @@ import pytest
 from repro.api import SwDNNHandle
 from repro.common.errors import PlanError
 from repro.core.conv import ConvolutionEngine
-from repro.core.params import ConvParams
 from repro.core.plans import BatchSizeAwarePlan, ImageSizeAwarePlan
 from repro.core.reference import conv2d_reference
 

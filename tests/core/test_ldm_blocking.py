@@ -14,7 +14,6 @@ from repro.core.ldm_blocking import (
     image_plan_ldm_bytes,
 )
 from repro.core.params import ConvParams
-from repro.hw.spec import DEFAULT_SPEC
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ reassociated — hence allclose, not array_equal, for those).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LDMOverflowError, PlanError

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.common.errors import PlanError
 from repro.core.params import ConvParams
-from repro.core.planner import PlanChoice, plan_convolution
+from repro.core.planner import plan_convolution
 
 
 class TestPlanSelection:

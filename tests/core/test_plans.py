@@ -1,6 +1,5 @@
 """Plan schedules: coverage, traffic consistency, model hookup."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.units import GB
-from repro.hw.spec import DEFAULT_SPEC, SW26010Spec, TABLE_II_DMA_BANDWIDTH
+from repro.hw.spec import DEFAULT_SPEC, TABLE_II_DMA_BANDWIDTH
 
 
 class TestPaperNumbers:

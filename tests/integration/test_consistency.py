@@ -1,6 +1,5 @@
 """Cross-cutting consistency: the pieces must tell one coherent story."""
 
-import numpy as np
 import pytest
 
 from repro.core.conv import ConvolutionEngine

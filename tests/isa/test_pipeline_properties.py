@@ -1,9 +1,8 @@
 """Property-based invariants of the dual-issue pipeline simulator."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import Instruction, OPCODES, PipelineClass
+from repro.isa.instructions import PipelineClass
 from repro.isa.pipeline import DualPipelineSimulator
 from repro.isa.program import Program
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import SimulationError
-from repro.isa.instructions import Instruction
 from repro.isa.pipeline import DualPipelineSimulator
 from repro.isa.program import Interpreter, MachineState, Program
 from repro.isa.scheduler import (

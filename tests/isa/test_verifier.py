@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa.kernels import GemmKernelSpec, gemm_kernel_reordered
 from repro.isa.program import Program
-from repro.isa.verifier import Diagnostic, assert_clean, verify_program
+from repro.isa.verifier import assert_clean, verify_program
 
 
 def _kernel_live_in():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.units import GB
-from repro.hw.spec import DEFAULT_SPEC
 from repro.perf.model import PerformanceEstimate, PerformanceModel
 
 

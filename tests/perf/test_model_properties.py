@@ -1,6 +1,5 @@
 """Property-based tests on the performance model's structure."""
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.perf.model import PerformanceEstimate, PerformanceModel

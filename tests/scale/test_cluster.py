@@ -15,7 +15,6 @@ from repro.core.zoo import ZooLayer, layer_cost
 from repro.scale.cluster import (
     ClusterFaultSpec,
     ClusterTrainer,
-    GradientBucket,
     LayerCost,
     plan_buckets,
     profile_network,

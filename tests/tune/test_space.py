@@ -67,10 +67,6 @@ class TestEnumeration:
 
 
 class TestCandidate:
-    def test_round_trip(self, small_params):
-        for cand in enumerate_candidates(small_params)[::7]:
-            assert Candidate.from_dict(cand.to_dict()) == cand
-
     def test_describe_mentions_family_and_registers(self):
         cand = Candidate(
             family="image-size-aware",

@@ -7,7 +7,6 @@ from repro.core.conv import ConvolutionEngine
 from repro.core.planner import plan_convolution
 from repro.core.reference import conv2d_reference
 from repro.faults import FaultPlan, FaultSpec
-from repro.hw.spec import DEFAULT_SPEC
 from repro.tune import PlanCache, autotune, score_candidate, warm_cache
 from repro.tune.space import enumerate_candidates
 
