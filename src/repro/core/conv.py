@@ -503,7 +503,8 @@ class ConvolutionEngine:
         the plan's *register blocking* shape (``rbB/4`` input vectors x
         ``rbNo`` splat vectors).  The paper's (16, 4) blocking reproduces
         the Section VI-B numbers; the autotuner may select other shapes,
-        whose pipeline efficiency is simulated the same way.
+        whose cycle counts derive the same way, from one steady-state
+        simulation per shape.
         """
         if flops == 0:
             return 0.0

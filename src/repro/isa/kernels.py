@@ -24,14 +24,21 @@ the loop branch unpaired — 17 cycles; the exit section (last iteration, no
 next loads, no branch) takes 16.  Total for K = Ni/8 iterations:
 
     5 + (K - 1) * 17 + 16   cycles,  EE = 16K / that.
+
+:func:`kernel_execution_efficiency` derives that count rather than
+transcribing it: one short probe simulation per register shape finds the
+iteration boundary from which the pipeline state repeats, and the cycles of
+any longer kernel follow from it exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
+from repro.isa.pipeline import DualPipelineSimulator
 from repro.isa.program import Program
 
 
@@ -172,20 +179,6 @@ def gemm_kernel_reordered(spec: GemmKernelSpec) -> Program:
     return prog
 
 
-def predicted_cycles_original(spec: GemmKernelSpec) -> int:
-    """Closed form for the original flow: one issue per cycle, 26/iteration."""
-    per_iter = spec.loads_per_iteration + spec.fma_per_iteration + 2
-    return per_iter * spec.iterations
-
-
-def predicted_cycles_reordered(spec: GemmKernelSpec) -> int:
-    """Closed form of Section VI-B: 5 + (K-1)*17 + 16 for the 4x4 block."""
-    prologue = 1 + spec.num_a
-    steady = spec.fma_per_iteration + 1  # FMAs + the unpaired branch
-    exit_section = spec.fma_per_iteration
-    return prologue + (spec.iterations - 1) * steady + exit_section
-
-
 def paper_execution_efficiency(ni: int) -> float:
     """EE formula of Section VI-B: (Ni/8*16)/(5+(Ni/8-1)*17+16)."""
     if ni % 8 != 0:
@@ -194,14 +187,48 @@ def paper_execution_efficiency(ni: int) -> float:
     return (k * 16) / (5 + (k - 1) * 17 + 16)
 
 
-def kernel_execution_efficiency(spec: GemmKernelSpec) -> float:
-    """Measured EE: simulate the reordered kernel on the dual pipelines.
+#: Iterations of the steady-state probe kernel.  A register shape whose
+#: boundary state does not repeat within them is simulated in full at every K.
+_PROBE_ITERATIONS = 8
 
-    Reports are memoized on the program signature (see
-    :func:`repro.isa.pipeline.simulate_cached`), complementing the
-    per-(iterations, block) cache in :mod:`repro.perf.model`.
+
+@lru_cache(maxsize=64)
+def _steady_state(num_a: int, num_b: int) -> Optional[Tuple[int, int, int, int]]:
+    """``(p, cycle at boundary p, II, exit cycles)`` of one register shape.
+
+    One probe simulation records every iteration boundary; ``p`` is the
+    first whose state the next boundary repeats.  Every iteration but the
+    last issues the same instruction stream, so from boundary ``p`` on each
+    one costs the same initiation interval ``II`` and ends in the same
+    state, and the exit iteration costs what the probe's own exit costs.
+    ``None`` when no state repeats within the probe.
     """
-    from repro.isa.pipeline import simulate_cached
+    boundaries: List[Tuple[int, tuple]] = []
+    probe = gemm_kernel_reordered(GemmKernelSpec(_PROBE_ITERATIONS, num_a, num_b))
+    total = DualPipelineSimulator().simulate(probe, boundaries).total_cycles
+    for p, ((cycle, state), (after, repeat)) in enumerate(
+        zip(boundaries, boundaries[1:]), start=1
+    ):
+        if state == repeat:
+            return p, cycle, after - cycle, total - boundaries[-1][0]
+    return None
 
-    report = simulate_cached(gemm_kernel_reordered(spec))
-    return report.fma_efficiency
+
+def reordered_kernel_cycles(spec: GemmKernelSpec) -> int:
+    """Cycles of the reordered kernel: exactly what a full simulation counts.
+
+    For ``K > p`` this is ``cycle_p + (K - 1 - p) * II + exit`` from the
+    shape's steady state (5 + 17(K-1) + 16 for 4x4); shorter kernels, and
+    shapes without a steady state, are simulated in full.
+    """
+    steady = _steady_state(spec.num_a, spec.num_b)
+    if steady is None or spec.iterations <= steady[0]:
+        program = gemm_kernel_reordered(spec)
+        return DualPipelineSimulator().simulate(program).total_cycles
+    p, cycle, ii, exit_cycles = steady
+    return cycle + (spec.iterations - 1 - p) * ii + exit_cycles
+
+
+def kernel_execution_efficiency(spec: GemmKernelSpec) -> float:
+    """Measured EE: FMA issues over the reordered kernel's simulated cycles."""
+    return spec.iterations * spec.fma_per_iteration / reordered_kernel_cycles(spec)

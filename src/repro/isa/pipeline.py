@@ -27,7 +27,7 @@ throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import Instruction, PipelineClass
 from repro.isa.program import Program
@@ -96,39 +96,25 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-#: Memoized pipeline reports keyed by :meth:`Program.signature`.  Kernel
-#: timing questions repeat (every plan with the same Ni asks about the same
-#: reordered GEMM program), so one simulation serves them all.
-_REPORT_CACHE: Dict[tuple, PipelineReport] = {}
-
-_REPORT_CACHE_MAX = 512
-
-
-def simulate_cached(program: Program) -> PipelineReport:
-    """Simulate a program, memoized on its instruction-stream signature.
-
-    Returns the cached :class:`PipelineReport` for a previously seen
-    signature without re-running the cycle-accurate issue loop.  The report
-    is shared — callers must treat it (including ``records``) as read-only;
-    use :meth:`DualPipelineSimulator.simulate` directly for a private copy.
-    """
-    key = program.signature()
-    report = _REPORT_CACHE.get(key)
-    if report is None:
-        report = DualPipelineSimulator().simulate(program)
-        if len(_REPORT_CACHE) >= _REPORT_CACHE_MAX:
-            _REPORT_CACHE.clear()
-        _REPORT_CACHE[key] = report
-    return report
-
-
 class DualPipelineSimulator:
     """Simulates issue timing of a :class:`Program` on the two CPE pipelines."""
 
     def __init__(self) -> None:
         pass
 
-    def simulate(self, program: Program) -> PipelineReport:
+    def simulate(
+        self, program: Program, boundaries: Optional[List[Tuple[int, tuple]]] = None
+    ) -> PipelineReport:
+        """Issue ``program`` cycle by cycle under the dual-issue rules.
+
+        With a ``boundaries`` list, append one ``(cycle, state)`` pair at
+        each iteration boundary, the cycle just after a branch issues.
+        ``state`` holds ``(reg, max(0, ready - cycle), max(0,
+        last_completion - cycle))`` for each register with a nonzero entry:
+        every latency is >= 1, so a clamped register issues exactly as one
+        never written, and two boundaries with equal states issue an equal
+        instruction stream in equal cycle counts.
+        """
         instructions = program.instructions
         n = len(instructions)
         records: List[IssueRecord] = []
@@ -170,6 +156,17 @@ class DualPipelineSimulator:
             if issued_pair:
                 dual_cycles += 1
             cycle += 1
+            if boundaries is not None and first.spec.is_branch:
+                relative = (
+                    (
+                        reg,
+                        max(0, ready.get(reg, 0) - cycle),
+                        max(0, last_completion.get(reg, 0) - cycle),
+                    )
+                    for reg in ready.keys() | last_completion.keys()
+                )
+                state = tuple(sorted(r for r in relative if r[1] or r[2]))
+                boundaries.append((cycle, state))
 
         total_cycles = cycle
         p0 = sum(1 for r in records if r.pipeline == "P0")

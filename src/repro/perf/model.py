@@ -3,8 +3,9 @@
 For a candidate convolution plan the model multiplies, onto the per-CG peak:
 
 1. **EE** — execution efficiency of the dual-pipeline inner kernel
-   (Section VI-B; measured by simulating the reordered GEMM kernel for the
-   plan's ``Ni/8`` iterations);
+   (Section VI-B; the reordered GEMM kernel's cycles for the plan's
+   ``Ni/8`` iterations, derived from one steady-state simulation per
+   register shape);
 2. **LDM->REG factor** — ``min(1, MBW_ldm / RBW_ldm_reg)**2`` with
    ``RBW_ldm_reg`` from Eq. 5 and ``MBW_ldm`` = 46.4 GB/s;
 3. **MEM->LDM factor** — ``min(1, MBW_mem / RBW_mem_ldm)**2`` with
@@ -37,7 +38,7 @@ from repro.perf.roofline import bandwidth_bound_fraction
 
 def _measured_ee(iterations: int, num_a: int = 4, num_b: int = 4) -> float:
     """Simulated execution efficiency of the reordered kernel (cached on
-    all three arguments, so ``k`` and ``k, 4, 4`` share one simulation)."""
+    all three arguments, so ``k`` and ``k, 4, 4`` share one entry)."""
     return _kernel_ee(iterations, num_a, num_b)
 
 

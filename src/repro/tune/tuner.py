@@ -327,7 +327,8 @@ def autotune(
         algorithms=algorithms,
     )
     # Stable, so ties keep enumeration order, as ``sorted(reverse=True)`` does.
-    ranked = np.argsort(-score_space(space), kind="stable").tolist()
+    order = np.argsort(-score_space(space), kind="stable")
+    ranked = order.tolist()
     survivors: List[Candidate] = []
     seeds: List[Candidate] = []
     if "direct" in resolved_algorithms:
@@ -339,14 +340,17 @@ def autotune(
     # a different roofline than the direct ones, so a cross-family ranking
     # error could otherwise exclude a whole family from the measured set.
     # The measurement — not the model — must decide the winner.
-    lowered = [space.candidate(i) for i in ranked if i >= space.direct]
-    for algo in resolved_algorithms:
-        if algo == "direct":
-            continue
-        for cand in lowered:
-            if cand.algorithm == algo:
-                seeds.append(cand)
-                break
+    # The lowered points are the space's tail (index >= ``space.direct``),
+    # taken out of the ranking in ranked order.
+    lowered_algorithms = [a for a in resolved_algorithms if a != "direct"]
+    if lowered_algorithms:
+        tail = order[order >= space.direct].tolist()
+        lowered = [space.candidate(i) for i in tail]
+        for algo in lowered_algorithms:
+            for cand in lowered:
+                if cand.algorithm == algo:
+                    seeds.append(cand)
+                    break
     # The lowered seeds ride on top of the direct budget, not inside it:
     # the zoo's measured set must be a superset of the direct-only one, or
     # adding algorithms could displace the direct winner and regress.

@@ -4,17 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.register_blocking import enumerate_gemm_blockings
+from repro.isa import kernels
 from repro.isa.kernels import (
     GemmKernelSpec,
     gemm_kernel_original,
     gemm_kernel_reordered,
     kernel_execution_efficiency,
     paper_execution_efficiency,
-    predicted_cycles_original,
-    predicted_cycles_reordered,
+    reordered_kernel_cycles,
 )
 from repro.isa.pipeline import DualPipelineSimulator
 from repro.isa.program import Interpreter, MachineState
+
+#: Every register shape the tuner searches, as (num_a, num_b).
+SHAPES = [(rb.rb_b // 4, rb.rb_no) for rb in enumerate_gemm_blockings()]
+
+#: The (5..12, 1) shapes reach their steady state only at the third
+#: iteration: (5, 1) runs 10, 19, 27, 35 ... cycles, a first step of 9 and
+#: then 8, so no affine fit through K = 1, 2, 3 holds for them.
+LATE_SETTLING = [(num_a, 1) for num_a in range(5, 13)]
 
 
 def _run_functional(program, spec, seed=0):
@@ -60,25 +69,20 @@ class TestPaperCycleCounts:
             report = sim.simulate(gemm_kernel_reordered(spec))
             assert report.total_cycles == 5 + 17 * (k - 1) + 16
 
-    def test_predictors_match_simulation(self):
-        sim = DualPipelineSimulator()
-        for k in (1, 4, 32):
-            spec = GemmKernelSpec(iterations=k)
-            assert (
-                sim.simulate(gemm_kernel_original(spec)).total_cycles
-                == predicted_cycles_original(spec)
-            )
-            assert (
-                sim.simulate(gemm_kernel_reordered(spec)).total_cycles
-                == predicted_cycles_reordered(spec)
-            )
+    def test_derived_steady_state_is_section_vi(self):
+        """The probe finds the paper's 17-cycle iteration and 16-cycle exit."""
+        p, cycle, ii, exit_cycles = kernels._steady_state(4, 4)
+        assert (p, cycle, ii, exit_cycles) == (1, 5 + 17, 17, 16)
+        spec = GemmKernelSpec(iterations=16)
+        assert reordered_kernel_cycles(spec) == 276
+        full = DualPipelineSimulator().simulate(gemm_kernel_reordered(spec))
+        assert full.total_cycles == 276
 
     def test_measured_ee_equals_paper_formula(self):
-        for ni in (32, 64, 128, 256, 384):
+        # Both sides divide the same two integers.
+        for ni in range(8, 385, 8):
             spec = GemmKernelSpec.for_input_channels(ni)
-            assert kernel_execution_efficiency(spec) == pytest.approx(
-                paper_execution_efficiency(ni), abs=1e-9
-            )
+            assert kernel_execution_efficiency(spec) == paper_execution_efficiency(ni)
 
     def test_ee_increases_with_ni(self):
         values = [paper_execution_efficiency(ni) for ni in (32, 64, 128, 384)]
@@ -87,6 +91,57 @@ class TestPaperCycleCounts:
     def test_paper_ee_at_128(self):
         # (16*16)/(5+15*17+16) = 256/276
         assert paper_execution_efficiency(128) == pytest.approx(256 / 276)
+
+
+class TestDerivedCycles:
+    """The probe-derived cycle count is the integer a full simulation counts."""
+
+    DEPTHS = (*range(1, 9), 16, 48, 64)
+
+    def test_tuner_shapes(self):
+        assert len(SHAPES) == 42
+        assert set(LATE_SETTLING) <= set(SHAPES)
+
+    @pytest.mark.parametrize("num_a, num_b", SHAPES, ids=str)
+    def test_equals_full_simulation(self, num_a, num_b):
+        sim = DualPipelineSimulator()
+        for k in self.DEPTHS:
+            spec = GemmKernelSpec(iterations=k, num_a=num_a, num_b=num_b)
+            report = sim.simulate(gemm_kernel_reordered(spec))
+            assert reordered_kernel_cycles(spec) == report.total_cycles, k
+            assert float.hex(kernel_execution_efficiency(spec)) == float.hex(
+                report.fma_efficiency
+            ), k
+
+    @pytest.mark.parametrize("num_a, num_b", LATE_SETTLING, ids=str)
+    def test_late_settling_shapes(self, num_a, num_b):
+        p, _, ii, _ = kernels._steady_state(num_a, num_b)
+        assert p == 2
+        cycles = [
+            reordered_kernel_cycles(GemmKernelSpec(k, num_a, num_b))
+            for k in range(1, 5)
+        ]
+        steps = [b - a for a, b in zip(cycles, cycles[1:])]
+        assert steps[0] != ii and steps[1:] == [ii, ii]
+
+    def test_five_by_one_cycles(self):
+        assert [
+            reordered_kernel_cycles(GemmKernelSpec(k, 5, 1)) for k in (1, 2, 3, 4)
+        ] == [10, 19, 27, 35]
+
+    def test_no_repeat_within_the_probe_simulates_in_full(self, monkeypatch):
+        """A shape that has not settled by the probe's last boundary is never
+        extrapolated: every depth runs the full simulation."""
+        monkeypatch.setattr(kernels, "_PROBE_ITERATIONS", 3)
+        kernels._steady_state.cache_clear()
+        try:
+            assert kernels._steady_state(5, 1) is None
+            for k in (1, 4, 9):
+                spec = GemmKernelSpec(k, 5, 1)
+                full = DualPipelineSimulator().simulate(gemm_kernel_reordered(spec))
+                assert reordered_kernel_cycles(spec) == full.total_cycles
+        finally:
+            kernels._steady_state.cache_clear()
 
 
 class TestKernelStructure:

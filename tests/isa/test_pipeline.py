@@ -144,3 +144,30 @@ class TestReport:
         report = sim.simulate(Program())
         assert report.total_cycles == 0
         assert report.fma_efficiency == 0.0
+
+
+class TestBoundaries:
+    """The optional record of the state after each branch."""
+
+    def test_state_is_relative_to_the_cycle_after_the_branch(self, sim):
+        prog = Program()
+        prog.emit("vfmad", dst="c", srcs=("x", "y"))  # cycle 0, done 7
+        prog.emit("bnw", srcs=())  # cycle 1
+        _load(prog, "a")  # cycle 2, done 6
+        prog.emit("bnw", srcs=())  # cycle 3
+        boundaries = []
+        report = sim.simulate(prog, boundaries)
+        assert boundaries == [
+            (2, (("c", 5, 5),)),
+            (4, (("a", 2, 2), ("c", 3, 3))),
+        ]
+        assert report == sim.simulate(prog)
+
+    def test_completed_registers_drop_out(self, sim):
+        prog = Program()
+        _load(prog, "a")  # done 4
+        for _ in range(4):
+            prog.emit("bnw", srcs=())
+        boundaries = []
+        sim.simulate(prog, boundaries)
+        assert boundaries == [(2, (("a", 2, 2),)), (3, (("a", 1, 1),)), (4, ()), (5, ())]

@@ -98,24 +98,15 @@ class TestEstimateProperties:
 
 
 class TestMeasuredEEMemo:
-    def test_default_and_explicit_register_shape_share_one_build(
-        self, monkeypatch
-    ):
+    def test_default_and_explicit_register_shape_share_one_entry(self):
         """``_measured_ee(k)`` (the model's call) and ``_measured_ee(k, 4, 4)``
         (the tuner's and the engine's) are one memo entry."""
-        import repro.isa.kernels as kernels
         from repro.perf import model
 
-        builds = []
-        build = kernels.gemm_kernel_reordered
-        monkeypatch.setattr(
-            kernels,
-            "gemm_kernel_reordered",
-            lambda spec: builds.append(spec) or build(spec),
-        )
         model._kernel_ee.cache_clear()
         assert model._measured_ee(3) == model._measured_ee(3, 4, 4)
-        assert len(builds) == 1
+        info = model._kernel_ee.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestChipEstimate:
