@@ -873,6 +873,13 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
+def _tile_count(text: str) -> int:
+    """``--tiles``: how many tiles to show, zero or more."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="swDNN reproduction on a simulated SW26010"
@@ -928,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", type=int, default=32)
     trace.add_argument("--k", type=int, default=3)
     trace.add_argument("--batch", type=int, default=64)
-    trace.add_argument("--tiles", type=int, default=16)
+    trace.add_argument("--tiles", type=_tile_count, default=16)
     trace.set_defaults(func=cmd_trace)
 
     cal = sub.add_parser("calibrate", help="re-derive the fitted constants")
@@ -1040,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--row", type=int, default=None,
         help="profile Table III row N (1-based) instead of --ni/--no/...",
     )
-    profile.add_argument("--tiles", type=int, default=32,
+    profile.add_argument("--tiles", type=_tile_count, default=32,
                          help="tile intervals exported as sim spans")
     profile.add_argument("--trace-out", metavar="PATH",
                          help="write Chrome trace_event JSON here")

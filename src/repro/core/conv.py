@@ -20,7 +20,8 @@ A plan is walked twice, for two concerns (see :mod:`repro.core.plans`):
   (with the calibrated stride derate), its GEMM against the reordered
   dual-pipeline kernel's measured cycles-per-FMA — and the double
   buffering of Section IV-A overlaps the two on a two-deep pipeline
-  timeline, tile by tile.
+  timeline, computed for all tiles at once as a prefix sum over the
+  per-tile cost columns.
 
 The timed report is memoized process-wide, and both
 :meth:`ConvolutionEngine.evaluate` and :meth:`ConvolutionEngine.run`
@@ -33,7 +34,7 @@ configurations of Figs. 7/9 run in milliseconds per configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.telemetry import current_telemetry
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
 from repro.perf.model import _measured_ee
 from repro.core.params import ConvParams
-from repro.core.plans import ConvPlan, TileStep, expand_program
+from repro.core.plans import ConvPlan, TileStep
 from repro.core.register_comm import MeshGemm
 
 
@@ -192,51 +193,79 @@ def _check_timing_knobs(stride_efficiency: float, overlap_contention: float) -> 
         )
 
 
-#: One tile's scheduled windows, in seconds: ``(get_start, get_end,
-#: compute_start, compute_end, put_start, put_end)``.
-TileWindow = Tuple[float, float, float, float, float, float]
+#: ``(pattern, repeat)`` runs of step costs, as a tile program runs steps.
+CostProgram = Sequence[Tuple[Tuple[_StepCost, ...], int]]
 
 
-def _tile_windows(costs: Iterable[_StepCost]) -> Iterator[TileWindow]:
-    """The double-buffered recurrence: one window tuple per tile.
+def _windows(
+    program: CostProgram, max_tiles: Optional[int] = None
+) -> Tuple[np.ndarray, ...]:
+    """The double-buffered schedule of the program's first ``max_tiles``
+    tiles: ``(get_start, get_end, comp_start, comp_end, put_start,
+    put_end)`` arrays, one entry per tile.
 
     Gets and puts run on separate descriptor queues (every CPE issues its
     own DMA requests), so a store-back never blocks the next tile's
     prefetch; a tile's load waits for the ping/pong buffer to free (the
     compute of two tiles earlier).  Zero-length puts are pinned to the
-    tile's compute end (there is nothing to schedule).
+    tile's compute end (there is nothing to schedule).  Per tile ``i``::
+
+        get_start[i]  = max(comp_end[i-2], get_end[i-1])
+        comp_start[i] = max(comp_end[i-1], get_end[i])
+        put_start[i]  = max(comp_end[i], put_end[previous put])
+
+    The per-tile costs are gathered from a table with a row per pattern
+    step, and the schedule is computed without a per-tile loop, bit for
+    bit: ``get_start[i]`` compares the same two floats as
+    ``comp_start[i-1]``, so it *is* ``comp_start[i-1]``; round-to-nearest
+    addition is monotone, so ``max(s + comp[i-1], s + get[i]) == s +
+    max(comp[i-1], get[i])`` for ``s = comp_start[i-1]``, and
+    ``comp_start`` is the prefix sum of ``get[0]`` and those maxima.
+    ``cumsum`` adds left to right, as the recurrence does (``np.sum``,
+    ``math.fsum`` and Python 3.12's ``sum`` do not).  Every other window
+    is one elementwise add.  Puts are taken to start at their compute end;
+    where one would still queue behind the previous put, the put queue
+    alone is replayed tile by tile.
 
     The single source of truth for the schedule's timing: the timed
     evaluation folds it (:func:`_pipeline_timeline`), and the Gantt tracer
     and the telemetry span export read it through
     :func:`pipeline_intervals`, so the views of a schedule can never drift
-    apart.  Each ``a if a > b else b`` is ``max(b, a)``, inlined.
+    apart.
     """
-    get_free = put_free = comp_free = 0.0
-    comp_free_before = 0.0  # compute end of the tile two back
-    for cost in costs:
-        get_start = comp_free_before if comp_free_before > get_free else get_free
-        get_end = get_start + cost.get_seconds
-        comp_start = comp_free if comp_free > get_end else get_end
-        comp_end = comp_start + cost.compute_seconds
-        put_seconds = cost.put_seconds
-        if put_seconds > 0:
-            put_start = comp_end if comp_end > put_free else put_free
-            put_free = put_start + put_seconds
-            put_end = put_free
-        else:
-            put_start = put_end = comp_end
-        get_free = get_end
-        comp_free_before = comp_free
-        comp_free = comp_end
-        yield get_start, get_end, comp_start, comp_end, put_start, put_end
+    table: List[Tuple[float, float, float]] = []
+    runs = [np.zeros(0, dtype=np.intp)]  # each tile's table row, run by run
+    for pattern, count in program:
+        rows = np.empty((count, len(pattern)), dtype=np.intp)
+        rows[...] = range(len(table), len(table) + len(pattern))
+        runs.append(rows.ravel())
+        table += [(c.get_seconds, c.compute_seconds, c.put_seconds) for c in pattern]
+    index = np.concatenate(runs)[:max_tiles]
+    costs = np.array(table, dtype=float).reshape(-1, 3)
+    get, comp, put = costs.take(index, axis=0).T
+    # starts[i] = get_start[i]; starts[i + 1] = comp_start[i].
+    starts = np.zeros(len(index) + 1)
+    starts[1:2] = get[:1]
+    np.maximum(comp[:-1], get[1:], out=starts[2:])
+    starts.cumsum(out=starts)
+    get_start, comp_start = starts[:-1], starts[1:]
+    comp_end = comp_start + comp
+    put_start, put_end = comp_end, comp_end + put
+    puts = (put > 0).nonzero()[0]
+    if (comp_end[puts[1:]] < put_end[puts[:-1]]).any():
+        put_start = comp_end.copy()
+        free = 0.0
+        for i in puts.tolist():
+            put_start[i] = free = max(free, comp_end[i])
+            put_end[i] = free = free + put[i]
+    return get_start, get_start + get, comp_start, comp_end, put_start, put_end
 
 
 @dataclass(frozen=True)
 class TileInterval:
     """Scheduled (get, compute, put) intervals of one tile, in seconds.
 
-    The readable record of one :func:`_tile_windows` window, tagged with
+    The readable record of one tile's :func:`_windows` entries, tagged with
     the tile's index — what the Gantt tracer (:mod:`repro.perf.trace`) and
     the telemetry span export consume.  The timed evaluation folds the
     bare windows and never builds these.
@@ -263,36 +292,35 @@ class TileInterval:
         return self.put_end - self.put_start
 
 
-def pipeline_intervals(costs: Iterable[_StepCost]) -> Iterator[TileInterval]:
-    """The double-buffered schedule of a cost stream, tile by tile.
+def pipeline_intervals(
+    program: CostProgram, max_tiles: Optional[int] = None
+) -> List[TileInterval]:
+    """The double-buffered schedule of the first ``max_tiles`` tiles.
 
-    Wraps each :func:`_tile_windows` window in a :class:`TileInterval`.
+    Wraps each tile's :func:`_windows` entries in a :class:`TileInterval`.
     """
-    for index, window in enumerate(_tile_windows(costs)):
-        yield TileInterval(index, *window)
+    windows = zip(*(w.tolist() for w in _windows(program, max_tiles)))
+    return [TileInterval(index, *window) for index, window in enumerate(windows)]
 
 
 def _pipeline_timeline(
-    costs: Iterable[_StepCost], contention: float = OVERLAP_CONTENTION
+    program: CostProgram, contention: float = OVERLAP_CONTENTION
 ) -> Tuple[float, float, float]:
     """Double-buffered timeline: returns (total, dma_busy, compute_busy).
 
-    Folds :func:`_tile_windows` down to totals.  The single memory
-    interface is enforced as a throughput bound: the whole layer can
-    finish no faster than the serial sum of all transfer times.
+    Folds :func:`_windows` down to totals, each busy time a left-to-right
+    sum of its per-tile windows.  The single memory interface is enforced
+    as a throughput bound: the whole layer can finish no faster than the
+    serial sum of all transfer times.
     """
     if not 0.0 <= contention <= 1.0:
         raise ValueError(f"contention must be in [0, 1], got {contention}")
-    end_get = end_put = end_comp = 0.0
-    dma_busy = 0.0
-    comp_busy = 0.0
-    for get_start, end_get, comp_start, end_comp, put_start, put_end in _tile_windows(
-        costs
-    ):
-        if put_end > end_put:
-            end_put = put_end
-        dma_busy += (end_get - get_start) + (put_end - put_start)
-        comp_busy += end_comp - comp_start
+    get_start, get_end, comp_start, comp_end, put_start, put_end = _windows(program)
+    if not len(get_end):
+        return 0.0, 0.0, 0.0
+    end_get, end_comp, end_put = get_end[-1], comp_end[-1], put_end.max()
+    dma_busy = ((get_end - get_start) + (put_end - put_start)).cumsum()[-1]
+    comp_busy = (comp_end - comp_start).cumsum()[-1]
     # Shared memory interface: gets and puts cannot truly run concurrently
     # at full bandwidth, so the interface's serial busy time lower-bounds
     # the layer.
@@ -301,40 +329,29 @@ def _pipeline_timeline(
     # hidden because DMA writes and kernel loads share the LDM ports.
     hidden = max(0.0, dma_busy + comp_busy - total)
     total += contention * hidden
-    return total, dma_busy, comp_busy
+    return float(total), float(dma_busy), float(comp_busy)
 
 
 def _fold_program(
-    program: Sequence[Tuple[Tuple[_StepCost, ...], int]],
-    contention: float,
-    peak_flops: float,
+    program: CostProgram, contention: float, peak_flops: float
 ) -> TimingReport:
     """Fold a run-length cost program into a :class:`TimingReport`.
 
     The one path from a cost stream to a report, for every engine: the
     integer totals (flops, bytes, tiles) multiply each run's pattern by its
-    repeat count, and :func:`_pipeline_timeline` runs over the unrolled
-    stream tile by tile.  A per-tile stream is one run of repeat 1.
+    repeat count, and :func:`_pipeline_timeline` folds the program's
+    per-tile windows.
     """
-    flops = 0
-    bytes_get = 0
-    bytes_put = 0
-    tiles = 0
-    for costs, count in program:
-        for cost in costs:
-            flops += count * cost.flops
-            bytes_get += count * cost.bytes_get
-            bytes_put += count * cost.bytes_put
-        tiles += count * len(costs)
-    total, dma_busy, comp_busy = _pipeline_timeline(expand_program(program), contention)
+    steps = [(cost, count) for costs, count in program for cost in costs]
+    total, dma_busy, comp_busy = _pipeline_timeline(program, contention)
     return TimingReport(
         seconds=total,
-        flops=flops,
+        flops=sum(count * cost.flops for cost, count in steps),
         dma_seconds=dma_busy,
         compute_seconds=comp_busy,
-        bytes_get=bytes_get,
-        bytes_put=bytes_put,
-        tiles=tiles,
+        bytes_get=sum(count * cost.bytes_get for cost, count in steps),
+        bytes_put=sum(count * cost.bytes_put for cost, count in steps),
+        tiles=sum(count for _, count in steps),
         peak_flops=peak_flops,
     )
 
@@ -573,12 +590,11 @@ class ConvolutionEngine:
             self.fused_pool,
         )
 
-    def _priced_program(self) -> List[Tuple[Tuple[_StepCost, ...], int]]:
+    def _priced_program(self) -> CostProgram:
         """The plan's tile program with each distinct step priced once.
 
         Same ``(pattern, repeat)`` runs as :meth:`ConvPlan.tile_program`,
-        with every step replaced by its cost; :func:`expand_program`
-        unrolls it into the per-tile cost stream of the timed walk.
+        with every step replaced by its cost: what the timed walk folds.
         """
         priced: Dict[int, _StepCost] = {}
         runs = []
@@ -608,13 +624,13 @@ class ConvolutionEngine:
     def evaluate(self) -> TimingReport:
         """Timed walk of the tile program (no tensor data is touched).
 
-        Each distinct tile is priced once and only the double-buffered
-        recurrence runs per tile; integer totals (flops, bytes, tiles) are
-        multiplied by the runs' repeat counts.  Results are memoized
-        process-wide on the plan signature and the engine's timing knobs,
-        so re-timing the same plan (chip strips, sweeps, repeated training
-        layers) costs a dictionary lookup.  :meth:`run` returns the same
-        report.
+        Each distinct tile is priced once and the double-buffered schedule
+        is a few array operations over the per-tile costs; integer totals
+        (flops, bytes, tiles) are multiplied by the runs' repeat counts.
+        Results are memoized process-wide on the plan signature and the
+        engine's timing knobs, so re-timing the same plan (chip strips,
+        sweeps, repeated training layers) costs a dictionary lookup.
+        :meth:`run` returns the same report.
         """
         report, hit = _memoized_report(self._timing_key(), self._timed_walk)
         _count_evaluation(self.telemetry.counters, report, hit)
@@ -623,16 +639,13 @@ class ConvolutionEngine:
     def tile_intervals(self, max_tiles: int) -> List[TileInterval]:
         """The first ``max_tiles`` tiles' scheduled intervals.
 
-        Replays the priced tile program through :func:`pipeline_intervals`,
-        the recurrence the timed walk folds down — what the Gantt tracer
-        and :meth:`record_tile_spans` show.
+        The priced tile program through :func:`pipeline_intervals`, the
+        schedule the timed walk folds down — what the Gantt tracer and
+        :meth:`record_tile_spans` show.
         """
-        intervals = []
-        for interval in pipeline_intervals(expand_program(self._priced_program())):
-            if interval.index >= max_tiles:
-                break
-            intervals.append(interval)
-        return intervals
+        if max_tiles < 0:
+            raise ValueError(f"max_tiles must be >= 0, got {max_tiles}")
+        return pipeline_intervals(self._priced_program(), max_tiles)
 
     def record_tile_spans(self, max_tiles: int = 64) -> int:
         """Record the first ``max_tiles`` tiles' intervals as sim spans.

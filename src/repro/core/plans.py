@@ -12,8 +12,8 @@ renderings of one loop nest, which drive the two execution modes of
   transfers merged per tensor, written run-length: an ordered tuple of
   ``(pattern, repeat)`` runs over a handful of distinct, shared
   :class:`TileStep` objects.  The timed mode prices each distinct step once
-  (Table II DMA model, reordered-kernel pipeline timing) and runs only the
-  double-buffered recurrence per tile.
+  (Table II DMA model, reordered-kernel pipeline timing) and computes the
+  double-buffered schedule over the per-tile costs as arrays.
 
 ``dma_streams()`` aggregates the program's traffic into the per-stream
 volumes/block-sizes the performance model blends into its ``MBW``, so the
@@ -120,6 +120,16 @@ def expand_program(program: Iterable[Tuple[Tuple[_T, ...], int]]) -> Iterator[_T
     return chain.from_iterable(
         chain.from_iterable(repeat(pattern, count)) for pattern, count in program
     )
+
+
+def _blocks(extent: int, block: int) -> List[Tuple[int, int]]:
+    """``(length, count)`` pairs of ``extent`` cut into ``block``-long blocks.
+
+    The full blocks come first, as one pair: they repeat one pattern back
+    to back, so they make one run.  The edge block, if any, follows.
+    """
+    full, edge = divmod(extent, block)
+    return [(length, n) for length, n in ((block, full), (edge, 1)) if length and n]
 
 
 #: Operand bytes (W and D) of one stack of same-shape tile GEMMs that the
@@ -290,10 +300,10 @@ class ConvPlan(abc.ABC):
         Each tile merges its per-(kr, kc) transfers into one aggregate
         transfer per tensor (identical bytes, identical block sizes, so
         identical DMA time) and carries no :class:`ComputeSpec`.  A plan
-        has at most five distinct such tiles, so the program is a few
-        ``(pattern, repeat)`` runs over shared steps; :func:`expand_program`
-        unrolls it tile by tile.  The timed evaluation and the traffic
-        aggregation read it.
+        has at most five distinct such tiles and at most two runs, the full
+        blocks' and the edge block's, over shared steps;
+        :func:`expand_program` unrolls it tile by tile.  The timed
+        evaluation and the traffic aggregation read it.
         """
 
     def compiled_schedule(self) -> Tuple[TileStep, ...]:
@@ -534,7 +544,8 @@ class ImageSizeAwarePlan(ConvPlan):
         """One row of column-block tiles per batch block, repeated ``Ro`` times.
 
         Distinct tiles differ only in ``(bb_len, co_len)``: at most two
-        batch-block and two column-block lengths.
+        batch-block and two column-block lengths.  The full batch blocks
+        share one row, so they are one run; the edge block is another.
         """
         p, blk = self.params, self.blocking
         flt_block = filter_block_bytes(p.no)
@@ -566,15 +577,10 @@ class ImageSizeAwarePlan(ConvPlan):
                 )
             return step
 
+        co_lens = [min(blk.b_co, p.co - co) for co in range(0, p.co, blk.b_co)]
         return tuple(
-            (
-                tuple(
-                    tile(min(blk.b_b, p.b - bb), min(blk.b_co, p.co - co))
-                    for co in range(0, p.co, blk.b_co)
-                ),
-                p.ro,
-            )
-            for bb in range(0, p.b, blk.b_b)
+            (tuple(tile(bb_len, co_len) for co_len in co_lens), p.ro * count)
+            for bb_len, count in _blocks(p.b, blk.b_b)
         )
 
 
@@ -704,41 +710,39 @@ class BatchSizeAwarePlan(ConvPlan):
         Each kr pass merges its ``co_len + Kc - 1`` input columns and
         ``co_len * Kc`` (ci, kc) updates into one step.  Distinct tiles:
         the shared filter head (promoted plans only) plus one step and one
-        tail per column-block length (at most two).
+        tail per column-block length (at most two).  The full column
+        blocks share one pattern, so they are one run; the edge block is
+        another.
         """
         p, blk = self.params, self.blocking
         head = (self._filter_head(),) if blk.promote_filter else ()
-        patterns: Dict[int, Tuple[TileStep, ...]] = {}
-        program = []
-        for co_start in range(0, p.co, blk.b_co):
-            co_len = min(blk.b_co, p.co - co_start)
-            pattern = patterns.get(co_len)
-            if pattern is None:
-                n_columns = co_len + p.kc - 1
-                n_updates = co_len * p.kc
-                gets = [
+
+        def pattern(co_len: int) -> Tuple[TileStep, ...]:
+            n_columns = co_len + p.kc - 1
+            n_updates = co_len * p.kc
+            gets = [
+                TileTransfer(
+                    "input",
+                    p.ni * p.b * n_columns * DS,
+                    batch_plan_block_bytes(p.b),
+                    "get",
+                )
+            ]
+            if not blk.promote_filter:
+                gets.append(
                     TileTransfer(
-                        "input",
-                        p.ni * p.b * n_columns * DS,
-                        batch_plan_block_bytes(p.b),
+                        "filter",
+                        p.ni * p.no * n_updates * DS,
+                        filter_block_bytes(p.no),
                         "get",
                     )
-                ]
-                if not blk.promote_filter:
-                    gets.append(
-                        TileTransfer(
-                            "filter",
-                            p.ni * p.no * n_updates * DS,
-                            filter_block_bytes(p.no),
-                            "get",
-                        )
-                    )
-                step = TileStep(gets=gets, flops=2 * p.b * p.no * p.ni * n_updates)
-                pattern = patterns[co_len] = (
-                    (head + (step,)) * p.kr + (self._output_tail(co_len),)
                 )
-            program.append((pattern, p.ro))
-        return tuple(program)
+            step = TileStep(gets=gets, flops=2 * p.b * p.no * p.ni * n_updates)
+            return (head + (step,)) * p.kr + (self._output_tail(co_len),)
+
+        return tuple(
+            (pattern(co_len), p.ro * count) for co_len, count in _blocks(p.co, blk.b_co)
+        )
 
 
 def make_plan(

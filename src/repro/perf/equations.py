@@ -39,9 +39,13 @@ RBW_DIRECT_MEM = 139.20 * GB
 
 
 def _check_positive(**kwargs: float) -> None:
-    """Raise unless every value is positive (a scalar or every array item)."""
+    """Raise unless every value is positive (a scalar or every array item).
+
+    Plain numbers skip NumPy; NaN is not ``<= 0`` either way, so it passes.
+    """
     for name, value in kwargs.items():
-        if np.any(np.less_equal(value, 0)):
+        scalar = isinstance(value, (int, float))
+        if (value <= 0) if scalar else np.any(np.less_equal(value, 0)):
             raise ValueError(f"{name} must be positive, got {value}")
 
 

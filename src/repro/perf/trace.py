@@ -1,17 +1,16 @@
 """Text Gantt traces of a plan's double-buffered timeline.
 
 Debugging a plan's overlap behaviour from aggregate numbers is blind work;
-this module replays the engine's timeline recurrence while recording the
-(get, compute, put) intervals of the first N tiles and renders them as an
-ASCII Gantt chart — the visual the Section IV-A double-buffering argument
-is usually drawn as.
+this module reads the engine's schedule for the (get, compute, put)
+intervals of the first N tiles and renders them as an ASCII Gantt chart —
+the visual the Section IV-A double-buffering argument is usually drawn as.
 
 The tiles are the plan's tile program, priced by the engine exactly as the
-timed evaluation prices them, and replayed by
+timed evaluation prices them, and scheduled by
 :meth:`repro.core.conv.ConvolutionEngine.tile_intervals` — the same
-intervals the telemetry span exporter records, from the same per-tile
-recurrence the timed evaluation folds down — so the Gantt chart, the
-timing report and the Chrome trace can never disagree about the schedule.
+intervals the telemetry span exporter records, from the same schedule
+arrays the timed evaluation folds down — so the Gantt chart, the timing
+report and the Chrome trace can never disagree about the schedule.
 """
 
 from __future__ import annotations

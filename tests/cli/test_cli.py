@@ -78,6 +78,18 @@ class TestTrace:
         assert "tile" in out
         assert "overlap" in out
 
+    def test_zero_tiles_renders_none(self, capsys):
+        assert main(["trace", "--ni", "64", "--no", "64", "--out", "8",
+                     "--batch", "32", "--tiles", "0"]) == 0
+        assert "(no tiles)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["trace", "profile"])
+    def test_negative_tiles_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--tiles", "-1"])
+        assert exit_info.value.code == 2
+        assert "--tiles: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestProfile:
     ARGS = ["profile", "--ni", "32", "--no", "32", "--out", "16",

@@ -175,9 +175,14 @@ class TestTiming:
         assert report.effective_dma_bandwidth == pytest.approx(150.0)
 
 
+def _timeline(costs, contention):
+    """The timeline of a per-tile cost stream: one run of repeat 1."""
+    return _pipeline_timeline([(tuple(costs), 1)], contention)
+
+
 class TestPipelineTimeline:
     def test_single_step(self):
-        total, dma, comp = _pipeline_timeline(
+        total, dma, comp = _timeline(
             [_StepCost(1.0, 2.0, 0.5, 0, 0, 0)], contention=0.0
         )
         assert total == pytest.approx(3.5)
@@ -186,27 +191,27 @@ class TestPipelineTimeline:
 
     def test_double_buffering_overlaps(self):
         costs = [_StepCost(1.0, 1.0, 0.0, 0, 0, 0) for _ in range(10)]
-        total, dma, comp = _pipeline_timeline(costs, contention=0.0)
+        total, dma, comp = _timeline(costs, contention=0.0)
         # Perfect overlap: ~11 units instead of 20.
         assert total < 12.0
 
     def test_interface_serial_bound(self):
         # DMA-dominated: total can never beat the serial transfer time.
         costs = [_StepCost(2.0, 0.1, 1.0, 0, 0, 0) for _ in range(5)]
-        total, dma, _ = _pipeline_timeline(costs, contention=0.0)
+        total, dma, _ = _timeline(costs, contention=0.0)
         assert total >= dma
 
     def test_contention_penalizes_overlap(self):
         costs = [_StepCost(1.0, 1.0, 0.0, 0, 0, 0) for _ in range(10)]
-        ideal, _, _ = _pipeline_timeline(costs, contention=0.0)
-        half, _, _ = _pipeline_timeline(costs, contention=0.5)
-        full, _, _ = _pipeline_timeline(costs, contention=1.0)
+        ideal, _, _ = _timeline(costs, contention=0.0)
+        half, _, _ = _timeline(costs, contention=0.5)
+        full, _, _ = _timeline(costs, contention=1.0)
         assert ideal < half < full
         assert full == pytest.approx(20.0)
 
     def test_contention_validated(self):
         with pytest.raises(ValueError):
-            _pipeline_timeline([_StepCost(1, 1, 1, 0, 0, 0)], contention=2.0)
+            _timeline([_StepCost(1, 1, 1, 0, 0, 0)], contention=2.0)
 
     def test_empty(self):
         total, dma, comp = _pipeline_timeline([])

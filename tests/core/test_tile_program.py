@@ -4,12 +4,16 @@
 both plan families used before the program existed, kept as the
 reference: the program must unroll to exactly its steps, and the timed
 walk over the program must reproduce the per-tile fold of those steps bit
-for bit.  The GEMM and Winograd engines fold their per-tile streams
-through the same run-length fold, pinned against the same reference.
+for bit.  The fold's oracle is ``_history_intervals``, a scalar
+tile-by-tile recurrence kept here, independent of the engine's array
+schedule.  The GEMM and Winograd engines fold their per-tile streams
+through the same run-length fold, pinned against the same oracle.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.algorithms import GemmBlocking, WinogradEngine, make_lowered_plan
 from repro.core.conv import (
@@ -36,7 +40,11 @@ from repro.core.plans import (
     TileTransfer,
     expand_program,
 )
+from repro.experiments.configs import fig8_center, fig8_left, fig8_right
+from repro.experiments.table3 import PAPER_ROWS
+from repro.hw.spec import DEFAULT_SPEC
 from repro.perf.dma_model import DMAStream
+from repro.tune import autotune, tuner
 
 
 def _reference_image_steps(plan):
@@ -146,18 +154,44 @@ def _reference_streams(steps):
     ]
 
 
+def _history_intervals(costs):
+    """Reference recurrence: reads buffer readiness from a list of compute ends."""
+    get_free = put_free = comp_free = 0.0
+    history = []
+    for i, cost in enumerate(costs):
+        buffer_ready = history[i - 2] if i >= 2 else 0.0
+        get_start = max(get_free, buffer_ready)
+        get_done = get_start + cost.get_seconds
+        comp_start = max(get_done, comp_free)
+        comp_done = comp_start + cost.compute_seconds
+        if cost.put_seconds > 0:
+            put_start = max(put_free, comp_done)
+            put_end = put_start + cost.put_seconds
+            put_free = put_end
+        else:
+            put_start = put_end = comp_done
+        get_free = get_done
+        comp_free = comp_done
+        history.append(comp_done)
+        yield (i, get_start, get_done, comp_start, comp_done, put_start, put_end)
+
+
+def _history_timeline(costs, contention):
+    """``(total, dma_busy, compute_busy)`` of the oracle, summed tile by tile."""
+    end_get = end_put = end_comp = dma = comp = 0.0
+    for _, gs, ge, cs, ce, ps, pe in _history_intervals(costs):
+        end_get, end_comp = ge, ce
+        end_put = max(end_put, pe)
+        dma += (ge - gs) + (pe - ps)
+        comp += ce - cs
+    total = max(end_get, end_put, end_comp, dma)
+    total += contention * max(0.0, dma + comp - total)
+    return total, dma, comp
+
+
 def _folded_report(engine, costs):
-    """Fold ``pipeline_intervals`` over per-tile costs, one tile at a time."""
-    end_get = end_put = end_comp = 0.0
-    dma_busy = comp_busy = 0.0
-    for interval in pipeline_intervals(costs):
-        end_get = interval.get_end
-        end_comp = interval.compute_end
-        end_put = max(end_put, interval.put_end)
-        dma_busy += interval.get_seconds + interval.put_seconds
-        comp_busy += interval.compute_seconds
-    total = max(end_get, end_put, end_comp, dma_busy)
-    total += engine.overlap_contention * max(0.0, dma_busy + comp_busy - total)
+    """The report of per-tile costs, folded by the scalar oracle."""
+    total, dma_busy, comp_busy = _history_timeline(costs, engine.overlap_contention)
     return TimingReport(
         seconds=total,
         flops=sum(c.flops for c in costs),
@@ -168,6 +202,27 @@ def _folded_report(engine, costs):
         tiles=len(costs),
         peak_flops=engine.spec.peak_flops_per_cg,
     )
+
+
+def _hexed(values):
+    """Floats as ``float.hex`` strings (so ``-0.0 != 0.0``), other values as is."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _hexed_windows(rows):
+    return [_hexed(row) for row in rows]
+
+
+def _intervals(program, max_tiles=None):
+    return _hexed_windows(
+        (t.index, t.get_start, t.get_end, t.compute_start, t.compute_end,
+         t.put_start, t.put_end)
+        for t in pipeline_intervals(program, max_tiles)
+    )
+
+
+def _report_fields(report):
+    return _hexed(vars(report).values())
 
 
 @st.composite
@@ -294,63 +349,123 @@ class TestLoweredFoldsMatchPerTileFold:
         assert engine._gemm_report() == _folded_report(engine, costs)
 
 
-def _history_intervals(costs):
-    """Reference recurrence: reads buffer readiness from a list of compute ends."""
-    get_free = put_free = comp_free = 0.0
-    history = []
-    for i, cost in enumerate(costs):
-        buffer_ready = history[i - 2] if i >= 2 else 0.0
-        get_start = max(get_free, buffer_ready)
-        get_done = get_start + cost.get_seconds
-        comp_start = max(get_done, comp_free)
-        comp_done = comp_start + cost.compute_seconds
-        if cost.put_seconds > 0:
-            put_start = max(put_free, comp_done)
-            put_end = put_start + cost.put_seconds
-            put_free = put_end
-        else:
-            put_start = put_end = comp_done
-        get_free = get_done
-        comp_free = comp_done
-        history.append(comp_done)
-        yield (i, get_start, get_done, comp_start, comp_done, put_start, put_end)
-
-
 _seconds = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
+_triple = st.tuples(_seconds, _seconds, st.one_of(st.just(0.0), _seconds))
+
+#: Batch-plan-like tiles: a filter head (get only), a column step (no
+#: put) and an output tail (put only).
+_HEAD, _STEP, _TAIL = (2.5e-4, 0.0, 0.0), (1e-4, 3e-4, 0.0), (0.0, 0.0, 4e-4)
 
 
 class TestSharedRecurrence:
-    @given(
-        st.lists(
-            st.tuples(_seconds, _seconds, st.one_of(st.just(0.0), _seconds)),
-            max_size=40,
-        ),
-        st.sampled_from([0.0, 0.5, 1.0]),
-    )
+    """The engine's array schedule against the scalar oracle, bit for bit."""
+
+    @given(st.lists(_triple, max_size=40), st.sampled_from([0.0, 0.5, 1.0]))
+    # A put queue: each put outlasts the next tile's compute.
+    @example([(1e-4, 1e-4, 3e-4)] * 6, 0.5)
+    # Exact ties between a compute and the next tile's get.
+    @example([(2.5e-4, 3e-4, 0.0), (3e-4, 3e-4, 1e-4), (3e-4, 2.5e-4, 0.0)] * 3, 1.0)
+    # Zero-get, zero-compute and zero-put tiles (batch heads and tails).
+    @example(([_HEAD, _STEP] * 3 + [_TAIL]) * 3, 0.5)
+    @example([(0.0, 0.0, 0.0), (0.0, 2e-4, 0.0), (1e-4, 0.0, 2e-4)], 1.0)
+    @example([(1e-4, 2e-4, 5e-5)], 0.5)
+    @example([], 0.5)
     @settings(max_examples=100, deadline=None)
     def test_matches_history_recurrence(self, triples, contention):
         costs = [_StepCost(g, c, p, 0, 0, 0) for g, c, p in triples]
-        reference = list(_history_intervals(costs))
-        intervals = [
-            (
-                t.index,
-                t.get_start,
-                t.get_end,
-                t.compute_start,
-                t.compute_end,
-                t.put_start,
-                t.put_end,
-            )
-            for t in pipeline_intervals(costs)
-        ]
-        assert intervals == reference
+        program = [(tuple(costs), 1)]
+        assert _intervals(program) == _hexed_windows(_history_intervals(costs))
+        assert _hexed(_pipeline_timeline(program, contention)) == _hexed(
+            _history_timeline(costs, contention)
+        )
 
-        end_get = end_put = end_comp = dma = comp = 0.0
-        for _, gs, ge, cs, ce, ps, pe in reference:
-            end_get, end_comp = ge, ce
-            end_put = max(end_put, pe)
-            dma += (ge - gs) + (pe - ps)
-            comp += ce - cs
-        total = max(end_get, end_put, end_comp, dma)
-        total += contention * max(0.0, dma + comp - total)
-        assert _pipeline_timeline(costs, contention) == (total, dma, comp)
+    @given(
+        st.lists(_triple, min_size=1, max_size=4),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5),
+                st.integers(min_value=1, max_value=30),
+            ),
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_runs_match_unrolled_stream(self, distinct, runs, max_tiles):
+        """Shared cost objects in repeated runs, and a prefix of the tiles."""
+        costs = [_StepCost(g, c, p, 0, 0, 0) for g, c, p in distinct]
+        program = [
+            (tuple(costs[i % len(costs)] for i in pattern), count)
+            for pattern, count in runs
+        ]
+        stream = list(expand_program(program))
+        reference = _hexed_windows(_history_intervals(stream))
+        assert _intervals(program) == reference
+        assert _intervals(program, max_tiles) == reference[:max_tiles]
+        assert _hexed(_pipeline_timeline(program, 0.5)) == _hexed(
+            _history_timeline(stream, 0.5)
+        )
+
+    @pytest.mark.parametrize(
+        "put_range", [(0.0, 5e-5), (1e-3, 2e-3)], ids=["free", "queued"]
+    )
+    def test_long_stream_sums_left_to_right(self, put_range):
+        """6,000 tiles: a pairwise (``np.sum``) or compensated (``math.fsum``,
+        Python 3.12 ``sum``) busy-time total differs from the oracle's
+        left-to-right sum in the last bits."""
+        rng = random.Random(6000)
+        costs = [
+            _StepCost(
+                rng.uniform(0.0, 1e-3),
+                rng.uniform(1e-4, 1e-3),
+                rng.uniform(*put_range) if i % 3 == 2 else 0.0,
+                0,
+                0,
+                0,
+            )
+            for i in range(6000)
+        ]
+        program = [(tuple(costs), 1)]
+        assert _hexed(_pipeline_timeline(program, 0.5)) == _hexed(
+            _history_timeline(costs, 0.5)
+        )
+        assert _intervals(program) == _hexed_windows(_history_intervals(costs))
+
+
+#: The four Table III shapes and a Fig. 8 configuration of each script.
+_PAPER_SCALE = [
+    ConvParams.from_output(ni=row[3], no=row[4], ro=64, co=64, kr=3, kc=3, b=128)
+    for row in PAPER_ROWS
+] + [fig8_left()[0], fig8_center()[40], fig8_right()[-1]]
+
+
+class TestPaperScalePrograms:
+    """Every plan the tuner measures on a paper-scale strip."""
+
+    @pytest.mark.parametrize(
+        "params", _PAPER_SCALE, ids=lambda p: f"{p.ni}x{p.no}k{p.kr}"
+    )
+    def test_measured_plans_fold_like_the_oracle(self, params, monkeypatch):
+        strip = params.with_rows(params.ro // DEFAULT_SPEC.num_core_groups)
+        measured = []
+        measure = tuner._measure_job
+
+        def record(job):
+            measured.append(job[0])
+            return measure(job)
+
+        monkeypatch.setattr(tuner, "_measure_job", record)
+        autotune(strip, cache=False, jobs=1)
+        assert measured
+        clear_timing_cache()
+        for candidate in measured:
+            plan = candidate.build(strip)
+            program = plan.tile_program()
+            assert len(program) <= 2
+            for (a, _), (b, _) in zip(program, program[1:]):
+                assert a is not b
+            engine = ConvolutionEngine(plan)
+            costs = list(expand_program(engine._priced_program()))
+            assert _report_fields(engine.evaluate()) == _report_fields(
+                _folded_report(engine, costs)
+            )

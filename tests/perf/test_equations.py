@@ -1,11 +1,13 @@
 """The RBW equations — pinned to the paper's published values."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import GB
 from repro.perf.equations import (
     RBW_DIRECT_MEM,
+    _check_positive,
     rbw_ldm_reg_direct_conv,
     rbw_ldm_reg_gemm,
     rbw_ldm_reg_gemm_simd,
@@ -88,6 +90,22 @@ class TestMonotonicity:
             rbw_mem_ldm_image_plan(0, 32, 128)
         with pytest.raises(ValueError):
             rbw_mem_ldm_batch_plan(3, 128, 0)
+
+
+class TestCheckPositive:
+    @pytest.mark.parametrize(
+        "value",
+        [0, -3, 0.0, -1e-9, False, np.float64(-1.0), np.int64(0), np.array([4, 0])],
+    )
+    def test_rejects_non_positive(self, value):
+        with pytest.raises(ValueError, match="b_co must be positive"):
+            _check_positive(n_o=128, b_co=value)
+
+    @pytest.mark.parametrize(
+        "value", [1, 2.5, True, float("nan"), np.float64(3.0), np.array([1.0, np.nan])]
+    )
+    def test_accepts_positive_and_nan(self, value):
+        _check_positive(b_co=value)
 
 
 class TestPromotedEquations:

@@ -75,6 +75,22 @@ class TestEngineTracing:
         with pytest.raises(ValueError, match="plan or an engine"):
             trace_plan()
 
+    def test_first_tiles_of_the_whole_schedule(self):
+        from repro.core.conv import ConvolutionEngine
+
+        engine = ConvolutionEngine(BatchSizeAwarePlan(self.PARAMS))
+        every = engine.tile_intervals(10**9)
+        assert len(every) == engine.evaluate().tiles
+        for count in (0, 1, 5, len(every) - 1, len(every)):
+            assert engine.tile_intervals(count) == every[:count]
+
+    def test_negative_tile_count_rejected(self):
+        from repro.core.conv import ConvolutionEngine
+
+        engine = ConvolutionEngine(BatchSizeAwarePlan(self.PARAMS))
+        with pytest.raises(ValueError, match="max_tiles"):
+            engine.tile_intervals(-1)
+
     def test_fenced_submesh_slows_compute(self):
         """An engine degraded onto a fenced submesh traces the timeline it
         would actually execute: fewer effective CPEs, longer compute."""
