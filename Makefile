@@ -1,7 +1,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test faults tune zoo profile serve fleet chaos scale metrics regress bench-smoke bench-pairs verify
+.PHONY: test faults tune zoo profile serve fleet chaos scale metrics bench-smoke bench-pairs verify
 
 test:
 	python -m pytest -x -q
@@ -50,9 +50,6 @@ metrics:
 	python -m repro metrics --smoke --requests 48 \
 	    --json-out /tmp/repro-metrics.json
 	python -m repro validate /tmp/repro-metrics.json
-
-regress:
-	python -m repro.telemetry.regress benchmarks
 
 bench-smoke:
 	python3 -m pytest swbench/tests -q

@@ -9,14 +9,15 @@ Records, into ``benchmarks/BENCH_algos.json``, for each Table III row:
 
 Acceptance bars: the cross-family search never regresses the direct-tuned
 result on any row, and at least one 3x3 stride-1 row selects a non-direct
-family with a measured speedup.
+family with a measured speedup.  The written record carries the
+``repro.algos/v1`` tag and passes ``python -m repro validate``.
 """
 
 import json
 import os
 
 from repro.core.params import ConvParams
-from repro.common.schema import validate
+from repro.common.schema import ALGOS_SCHEMA, validate
 from repro.telemetry import oracle_report
 from repro.tune import autotune
 
@@ -31,7 +32,7 @@ def _row_params(ni, no):
 
 
 def test_bench_algos(benchmark):
-    record = {"rows": []}
+    record = {"schema": ALGOS_SCHEMA, "rows": []}
     non_direct_wins = 0
 
     shapes = [_row_params(ni, no) for ni, no in TABLE3_CHANNELS]
@@ -84,6 +85,8 @@ def test_bench_algos(benchmark):
         "flagged": len(oracle.flagged),
     }
 
+    violations = validate(record)
+    assert violations == [], f"schema violations: {violations}"
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

@@ -11,16 +11,16 @@ hang, two CPEs fenced):
 * the breaker's open -> half-open -> closed transition trail, the
   retry/hedge/demotion taxonomy, and p99 latency with vs without faults.
 
-Acceptance bars asserted here: availability >= 99%, zero wrong answers,
-the breaker actually cycled (>= 1 open), and the written record passes
-the chaos-serve schema the CI chaos stage checks
-(``python -m repro validate``).
+Acceptance bars asserted here: zero wrong answers, the breaker actually
+cycled (>= 1 open), and the written record passes the chaos-serve schema
+the CI chaos stage checks (``python -m repro validate``), which also
+holds availability >= 99% (``MIN_AVAILABILITY``).
 """
 
 import json
 import os
 
-from repro.common.schema import validate
+from repro.common.schema import MIN_AVAILABILITY, validate
 from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
 RESULTS_PATH = os.path.join(
@@ -39,10 +39,6 @@ def _chaos(record):
     )
     payload = report.as_dict()
 
-    assert report.availability >= 0.99, (
-        f"availability {report.availability * 100:.2f}% under faults "
-        f"(need >= 99%)"
-    )
     assert report.wrong_answers == 0, (
         f"{report.wrong_answers} served answers differed from the "
         f"fault-free reference — the zero-wrong-answer contract is broken"
@@ -56,22 +52,18 @@ def _chaos(record):
 
     record.update(payload)
     record["acceptance"] = {
-        "availability_bar": ">= 0.99 under seeded dma+cpe faults",
+        "availability_bar": f">= {MIN_AVAILABILITY} under seeded dma+cpe faults",
         "wrong_answers_bar": "== 0 (bit-identical or typed rejection)",
         "breaker_bar": ">= 1 open transition recorded",
     }
-    return report.availability
 
 
 def test_bench_chaos_serve(benchmark):
     record = {}
-    availability = benchmark.pedantic(
-        _chaos, args=(record,), rounds=1, iterations=1
-    )
+    benchmark.pedantic(_chaos, args=(record,), rounds=1, iterations=1)
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
     print()
     print(json.dumps(record, indent=2))
     benchmark.extra_info.update(record)
-    assert availability >= 0.99

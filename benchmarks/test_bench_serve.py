@@ -15,7 +15,9 @@ Records, into ``benchmarks/BENCH_serve.json``:
 
 Acceptance bars asserted here: batched throughput >= 3x sequential at
 the saturating rate, zero steady-state tuner measurements, and packed
-repeat-inference not slower than the unpacked path.
+repeat-inference not slower than the unpacked path.  The written record
+carries the ``repro.serve/v1`` tag and passes ``python -m repro
+validate``, which holds the same bars.
 """
 
 import json
@@ -24,6 +26,12 @@ import time
 
 import numpy as np
 
+from repro.common.schema import (
+    MAX_PACKED_RATIO,
+    MIN_BATCHED_SPEEDUP,
+    SERVE_SCHEMA,
+    validate,
+)
 from repro.core.conv import ConvolutionEngine
 from repro.core.params import ConvParams
 from repro.core.planner import plan_convolution
@@ -88,7 +96,7 @@ def _throughput(record):
         np.testing.assert_array_equal(batched, alone)
 
     speedup = bat_report.rps / seq_report.rps
-    assert speedup >= 3.0, (
+    assert speedup >= MIN_BATCHED_SPEEDUP, (
         f"dynamic batching gives only {speedup:.2f}x over sequential "
         f"({bat_report.rps:.0f} vs {seq_report.rps:.0f} rps)"
     )
@@ -177,7 +185,7 @@ def _filter_pack(record):
         packed_engine.run(x, w, filter_version=0)[0],
         unpacked_engine.run(x, w)[0],
     )
-    assert packed <= unpacked * 1.10, (
+    assert packed <= unpacked * MAX_PACKED_RATIO, (
         f"packed repeat-inference ({packed:.5f}s) slower than unpacked "
         f"({unpacked:.5f}s)"
     )
@@ -190,7 +198,7 @@ def _filter_pack(record):
 
 
 def test_bench_serve(benchmark, tmp_path):
-    record = {}
+    record = {"schema": SERVE_SCHEMA}
     speedup = benchmark.pedantic(
         _throughput, args=(record,), rounds=1, iterations=1
     )
@@ -198,8 +206,10 @@ def test_bench_serve(benchmark, tmp_path):
     _filter_pack(record)
     record["summary"] = {
         "batched_vs_sequential_speedup": round(speedup, 2),
-        "acceptance_bar": ">= 3.0x at saturating arrival rate",
+        "acceptance_bar": f">= {MIN_BATCHED_SPEEDUP}x at saturating arrival rate",
     }
+    violations = validate(record)
+    assert violations == [], f"schema violations: {violations}"
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

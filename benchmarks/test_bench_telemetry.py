@@ -13,7 +13,9 @@ The acceptance bars asserted here: the *disabled* path must stay within
 2% of the instrumented run's floor (i.e. enabling telemetry never makes
 the disabled path the slower one by more than noise), and the enabled
 session itself must cost < 50% on the schedule walk — it is a profiling
-tool, not a production tax, but it must not be pathological either.
+tool, not a production tax, but it must not be pathological either.  The
+written record carries the ``repro.telemetry/v1`` tag and passes
+``python -m repro validate``.
 """
 
 import json
@@ -23,6 +25,7 @@ import tracemalloc
 
 import numpy as np
 
+from repro.common.schema import MAX_WALK_OVERHEAD_PCT, TELEMETRY_SCHEMA, validate
 from repro.core.conv import ConvolutionEngine, clear_timing_cache
 from repro.core.ldm_blocking import ImageBlocking
 from repro.core.params import ConvParams
@@ -80,7 +83,7 @@ def _fast_run_seconds(telemetry):
 
 
 def test_bench_telemetry(benchmark):
-    record = {}
+    record = {"schema": TELEMETRY_SCHEMA}
 
     # -- 1. schedule-walk overhead: disabled vs enabled session ------------
     # The walk takes single-digit milliseconds, so a 2% bar is well below
@@ -116,7 +119,7 @@ def test_bench_telemetry(benchmark):
         f"(best-vs-best {best_ratio:.3f}x, {disabled_walk:.4f}s vs "
         f"{enabled_walk:.4f}s) — beyond the 2% noise bar"
     )
-    assert walk_overhead < 0.50, (
+    assert 100.0 * walk_overhead < MAX_WALK_OVERHEAD_PCT, (
         f"enabled telemetry costs {walk_overhead:.1%} on the schedule walk"
     )
     record["schedule_walk"] = {
@@ -219,6 +222,8 @@ def test_bench_telemetry(benchmark):
     assert len(report.rows) == len(PAPER_ROWS)
     record["table3_drift"] = report.as_dict()
 
+    violations = validate(record)
+    assert violations == [], f"schema violations: {violations}"
     with open(RESULTS_PATH, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")

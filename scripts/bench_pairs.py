@@ -4,16 +4,19 @@
     python3 scripts/bench_pairs.py --parent REF --workload W --pairs N \\
         --seconds S
 
-Exports ``REF`` with ``git archive`` into a temporary directory, then runs
+Exports ``REF`` with ``git archive`` into a temporary directory and copies
+this checkout's working tree beside it (its tracked and untracked files,
+not the ignored ones such as bytecode caches), so both sides start from
+fresh files and edits made while the pairs run do not leak in.  Then runs
 ``swbench/run.py --workload W --trace 0`` once on each side per pair: on a
 fresh random seed per pair (printed, so any pair can be re-run by hand),
 and in alternating order, so slow drifts of the host hit both sides
-alike.  This checkout's working tree is the change side.  ``--workload
-all`` runs ``sweep``, ``serve`` and ``train`` in turn.  For each workload
-it prints, for every end-to-end metric of ``BENCHMARK.json``, the median
-and quartiles per side, how many pairs the change won, and the verdict of
-:func:`verdict` under the metric's ``bound``; and whether each pair's
-``LEDGER`` lines (the deterministic simulated results) are identical.
+alike.  ``--workload all`` runs ``sweep``, ``serve`` and ``train`` in
+turn.  For each workload it prints, for every end-to-end metric of
+``BENCHMARK.json``, the median and quartiles per side, how many pairs the
+change won, and the verdict of :func:`verdict` under the metric's
+``bound``; and whether each pair's ``LEDGER`` lines (the deterministic
+simulated results) are identical.
 
 Exit status is 1 if a run fails, a pair's ledgers differ or a metric's
 verdict is ``REGRESSION``, else 0.
@@ -26,6 +29,7 @@ import io
 import json
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -48,6 +52,27 @@ def _export(ref: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
+
+
+def _snapshot(root: Path, dest: Path) -> None:
+    """Copy the working tree of ``root`` into ``dest``.
+
+    Copies what ``git ls-files --cached --others --exclude-standard``
+    lists: tracked and untracked files, but no ignored file, and no
+    tracked file deleted from the working tree.
+    """
+    names = subprocess.run(
+        ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"],
+        check=True,
+        capture_output=True,
+    ).stdout.split(b"\0")
+    for name in dict.fromkeys(os.fsdecode(n) for n in names if n):
+        source = root / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def _run(side: Path, workload: str, seed: int, seconds: float) -> Tuple[dict, str]:
@@ -127,15 +152,16 @@ def verdict(parent: List[float], change: List[float], better: str, bound: float)
 
 
 def _compare(
-    workload: str, parent_root: Path, metrics, pairs: int, seconds: float, parent: str
+    workload: str, sides: Dict[str, Path], metrics, pairs: int, seconds: float,
+    parent: str,
 ) -> bool:
     """Run the pairs of one workload and print its table; True if clean."""
     samples: Dict[str, Dict[str, List[float]]] = {
         name: {"parent": [], "change": []} for name, _, _ in metrics
     }
-    sides = {"parent": parent_root, "change": ROOT}
     identical = 0
-    print(f"{workload}: {pairs} pairs of {seconds:g} s, parent {parent} vs {ROOT}")
+    print(f"{workload}: {pairs} pairs of {seconds:g} s, parent {parent} vs "
+          f"the working tree of {ROOT}")
     seeds = random.SystemRandom()
     for i in range(pairs):
         seed = seeds.randrange(1, 1_000_000)
@@ -187,11 +213,12 @@ def main(argv=None) -> int:
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     clean = True
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_root = Path(tmp)
-        _export(args.parent, parent_root)
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        _export(args.parent, sides["parent"])
+        _snapshot(ROOT, sides["change"])
         for workload in workloads:
             clean &= _compare(
-                workload, parent_root, metrics, args.pairs, args.seconds, args.parent
+                workload, sides, metrics, args.pairs, args.seconds, args.parent
             )
     return 0 if clean else 1
 

@@ -5,7 +5,9 @@
 # hung worker, a deadlocked pool) fails loudly instead of hanging CI.
 # Exit code is non-zero if any stage fails or times out.  The tier-1 stage
 # runs all of tests/, so no stage re-runs a marker subset of it (the
-# Makefile's faults/tune/zoo/serve/scale targets select those).
+# Makefile's faults/tune/zoo/serve/scale targets select those); it also
+# checks every committed benchmarks/BENCH_*.json record against its
+# repro.common.schema kind and acceptance bars (tests/cli/test_cli.py).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,7 +20,6 @@ FLEET_TIMEOUT="${FLEET_TIMEOUT:-180}"
 CHAOS_TIMEOUT="${CHAOS_TIMEOUT:-180}"
 SCALE_TIMEOUT="${SCALE_TIMEOUT:-180}"
 METRICS_TIMEOUT="${METRICS_TIMEOUT:-180}"
-REGRESS_TIMEOUT="${REGRESS_TIMEOUT:-60}"
 BENCH_SMOKE_TIMEOUT="${BENCH_SMOKE_TIMEOUT:-300}"
 
 echo "== tier-1 suite (timeout ${TIER1_TIMEOUT}s) =="
@@ -81,12 +82,6 @@ echo "== metrics smoke + schema gate (timeout ${METRICS_TIMEOUT}s) =="
 timeout "${METRICS_TIMEOUT}" python -m repro metrics --smoke \
     --requests 48 --json-out "${WORK}/metrics.json" > /dev/null
 timeout "${METRICS_TIMEOUT}" python -m repro validate "${WORK}/metrics.json"
-
-echo "== bench regression gate (timeout ${REGRESS_TIMEOUT}s) =="
-# Re-derives every headline scalar from the committed BENCH_*.json ledger
-# and fails with a delta table on any per-metric tolerance violation
-# (self-comparison here: the extractors and invariant metrics must hold).
-timeout "${REGRESS_TIMEOUT}" python -m repro.telemetry.regress benchmarks
 
 echo "== benchmark harness smoke (timeout ${BENCH_SMOKE_TIMEOUT}s) =="
 # Runs every swbench workload on tiny inputs through its real command

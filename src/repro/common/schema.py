@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Tuple
 
+ALGOS_SCHEMA = "repro.algos/v1"
 AUTOTUNE_SCHEMA = "repro.autotune/v1"
 CHAOS_FLEET_SCHEMA = "repro.chaos_fleet/v1"
 CHAOS_SERVE_SCHEMA = "repro.chaos_serve/v1"
@@ -35,6 +36,8 @@ FLIGHT_SCHEMA = "repro.flight/v1"
 METRICS_SCHEMA = "repro.metrics/v1"
 ORACLE_SCHEMA = "repro.oracle/v1"
 PROFILE_SCHEMA = "repro.profile/v1"
+SERVE_SCHEMA = "repro.serve/v1"
+TELEMETRY_SCHEMA = "repro.telemetry/v1"
 
 #: Fleet acceptance bars: throughput at 4 chips, p99 vs one chip, home hits.
 MIN_SCALING_4CHIP = 3.0
@@ -46,6 +49,14 @@ MIN_OVERLAP_SPEEDUP = 1.2
 MAX_EFFICIENCY = 1.25
 #: How much faster than the full bus-protocol simulation mesh-fast must run.
 MIN_FASTPATH_SPEEDUP = 5.0
+#: Share of offered chaos-serve requests answered (served or typed rejection).
+MIN_AVAILABILITY = 0.99
+#: Batched-over-sequential serve throughput at a saturating arrival rate.
+MIN_BATCHED_SPEEDUP = 3.0
+#: Packed repeat-inference may be this much slower than unpacked (timer noise).
+MAX_PACKED_RATIO = 1.10
+#: Enabled telemetry's cost on the Table III schedule walk, in percent.
+MAX_WALK_OVERHEAD_PCT = 50.0
 
 _TYPES = {"str": str, "int": int, "number": (int, float), "bool": bool, "any": object}
 
@@ -143,11 +154,13 @@ _ORACLE = {
     ],
 }
 
+_DRIFT = {"threshold": "number", "flagged": "int", "rows": [{"flagged": "bool"}]}
+
 _PROFILE = {
     "params": "str",
     "chip_gflops": "number",
     "counters": {"*": "number"},
-    "drift": {"threshold": "number", "flagged": "int", "rows": [{"flagged": "bool"}]},
+    "drift": _DRIFT,
     "oracle": _ORACLE,
 }
 
@@ -304,6 +317,10 @@ def _chaos_serve_rules(doc: Dict[str, Any]) -> List[str]:
     errors = [f"{key}: is negative" for key in _CHAOS_TALLIES if doc[key] < 0]
     if not 0.0 <= doc["availability"] <= 1.0:
         errors.append(f"availability: {doc['availability']} not in [0, 1]")
+    elif doc["availability"] < MIN_AVAILABILITY:
+        errors.append(
+            f"availability: {doc['availability']} below {MIN_AVAILABILITY}"
+        )
     answered = sum(
         doc[key] for key in ("completed", "shed", "rejected", "deadline_misses")
     )
@@ -589,8 +606,152 @@ def _fastpath_rules(doc: Dict[str, Any]) -> List[str]:
     return [message for ok, message in bars if not ok]
 
 
+# Serve bench record: dynamic batching, warm cache, packed filters.
+_LOAD_REPORT = {
+    "mode": "str",
+    **dict.fromkeys(
+        ("offered", "completed", "rejected", "deadline_misses", "errors"), "int"
+    ),
+    **dict.fromkeys(("wall_seconds", "rps"), "number"),
+    "latency": {
+        "count": "int",
+        **dict.fromkeys(
+            ("mean_ms", "p50_ms", "p90_ms", "p99_ms", "max_ms"), "number"
+        ),
+    },
+}
+
+_SERVE = {
+    "throughput": {
+        "layer": "str",
+        **dict.fromkeys(("sequential", "batched"), _LOAD_REPORT),
+        **dict.fromkeys(("speedup", "mean_batch"), "number"),
+        "bit_identical_outputs": "bool",
+    },
+    "warm_cache": dict.fromkeys(
+        (
+            "warm_tuner_measurements", "steady_state_tuner_measurements",
+            "warm_filter_packs", "steady_state_filter_packs",
+            "restart_tuner_measurements", "restart_cache_hits",
+        ),
+        "int",
+    ),
+    "filter_pack": {
+        "params": "str",
+        **dict.fromkeys(("unpacked_seconds", "packed_seconds", "speedup"), "number"),
+    },
+}
+
+
+def _serve_rules(doc: Dict[str, Any]) -> List[str]:
+    throughput, warm, pack = doc["throughput"], doc["warm_cache"], doc["filter_pack"]
+    batched = throughput["batched"]
+    zero = (
+        "steady_state_tuner_measurements", "steady_state_filter_packs",
+        "restart_tuner_measurements",
+    )
+    bars = [
+        (throughput["bit_identical_outputs"],
+         "throughput.bit_identical_outputs: batched outputs differ from the "
+         "per-request outputs"),
+        (throughput["speedup"] >= MIN_BATCHED_SPEEDUP,
+         f"throughput.speedup: {throughput['speedup']} below "
+         f"{MIN_BATCHED_SPEEDUP}"),
+        (batched["completed"] == batched["offered"],
+         f"throughput.batched.completed: {batched['completed']} of "
+         f"{batched['offered']} offered requests"),
+        (warm["warm_tuner_measurements"] > 0,
+         "warm_cache.warm_tuner_measurements: the warm-up measured nothing"),
+        *((warm[key] == 0, f"warm_cache.{key}: {warm[key]}; the contract is zero")
+          for key in zero),
+        (pack["packed_seconds"] <= MAX_PACKED_RATIO * pack["unpacked_seconds"],
+         f"filter_pack.packed_seconds: {pack['packed_seconds']} above "
+         f"{MAX_PACKED_RATIO} x the unpacked {pack['unpacked_seconds']}"),
+    ]
+    return [message for ok, message in bars if not ok]
+
+
+# Algorithm-zoo bench record: cross-family tuning of the Table III rows.
+_ALGOS = {
+    "rows": [
+        {
+            **dict.fromkeys(
+                ("params", "direct_plan", "winner_algorithm", "winner_plan"), "str"
+            ),
+            **dict.fromkeys(
+                ("direct_tuned_gflops", "winner_gflops", "speedup_vs_direct"),
+                "number",
+            ),
+            "oracle_attainment": {"*": "number"},
+        }
+    ],
+    "non_direct_winners": "int",
+    "oracle": {"threshold": "number", "flagged": "int"},
+}
+
+
+def _algos_rules(doc: Dict[str, Any]) -> List[str]:
+    errors: List[str] = []
+    for i, row in enumerate(doc["rows"]):
+        if row["winner_algorithm"] not in _ALGORITHMS:
+            errors.append(
+                f"rows[{i}].winner_algorithm: unknown algorithm "
+                f"{row['winner_algorithm']!r}"
+            )
+        if row["winner_gflops"] < row["direct_tuned_gflops"]:
+            errors.append(
+                f"rows[{i}].winner_gflops: {row['winner_gflops']} below the "
+                f"direct-tuned {row['direct_tuned_gflops']}"
+            )
+    winners, rows = doc["non_direct_winners"], len(doc["rows"])
+    if not 1 <= winners <= rows:
+        errors.append(f"non_direct_winners: {winners} not in [1, {rows}]")
+    if doc["oracle"]["flagged"]:
+        errors.append(
+            f"oracle.flagged: {doc['oracle']['flagged']} layer(s) below the "
+            f"attainment threshold"
+        )
+    return errors
+
+
+# Telemetry bench record: overhead of an attached session, Table III drift.
+_OVERHEAD = {
+    "params": "str",
+    **dict.fromkeys(
+        ("disabled_seconds", "enabled_seconds", "enabled_overhead_pct"), "number"
+    ),
+}
+
+_TELEMETRY = {
+    **dict.fromkeys(("schedule_walk", "fast_path_forward"), _OVERHEAD),
+    "metrics_flight": {
+        **dict.fromkeys(("ops", "disabled_bytes_allocated"), "int"),
+        **dict.fromkeys(("observe_ns", "sample_ns", "flight_record_ns"), "number"),
+    },
+    "table3_drift": _DRIFT,
+}
+
+
+def _telemetry_rules(doc: Dict[str, Any]) -> List[str]:
+    errors = _tally(doc["table3_drift"], "table3_drift.")
+    allocated = doc["metrics_flight"]["disabled_bytes_allocated"]
+    if allocated > 0:
+        errors.append(
+            f"metrics_flight.disabled_bytes_allocated: the disabled sinks "
+            f"allocated {allocated} bytes"
+        )
+    overhead = doc["schedule_walk"]["enabled_overhead_pct"]
+    if overhead >= MAX_WALK_OVERHEAD_PCT:
+        errors.append(
+            f"schedule_walk.enabled_overhead_pct: {overhead} not below "
+            f"{MAX_WALK_OVERHEAD_PCT}"
+        )
+    return errors
+
+
 #: Tag -> (spec, invariants).
 KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
+    ALGOS_SCHEMA: (_ALGOS, _algos_rules),
     AUTOTUNE_SCHEMA: (_AUTOTUNE, _autotune_rules),
     CHAOS_FLEET_SCHEMA: (_CHAOS_FLEET, _chaos_fleet_rules),
     CHAOS_SERVE_SCHEMA: (_CHAOS_SERVE, _chaos_serve_rules),
@@ -601,6 +762,8 @@ KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
     METRICS_SCHEMA: (_METRICS, _metrics_rules),
     ORACLE_SCHEMA: (_ORACLE, _oracle_rules),
     PROFILE_SCHEMA: (_PROFILE, _profile_rules),
+    SERVE_SCHEMA: (_SERVE, _serve_rules),
+    TELEMETRY_SCHEMA: (_TELEMETRY, _telemetry_rules),
 }
 
 

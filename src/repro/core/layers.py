@@ -247,89 +247,6 @@ class Dense(Layer):
         return {"w": self._grad_w, "bias": self._grad_b}
 
 
-class LocalResponseNorm(Layer):
-    """Local response normalization across channels (AlexNet-era).
-
-    ``y[b,c] = x[b,c] / (k + alpha/n * sum_{c' in window} x[b,c']^2)^beta``
-    with the window of ``n`` channels centered on ``c`` — the normalization
-    the paper-era ImageNet networks interleave with convolutions.
-    """
-
-    def __init__(self, n: int = 5, k: float = 2.0, alpha: float = 1e-4, beta: float = 0.75):
-        if n < 1 or n % 2 == 0:
-            raise ValueError(f"window size must be odd and positive, got {n}")
-        if k <= 0 or alpha <= 0 or beta <= 0:
-            raise ValueError("k, alpha and beta must be positive")
-        self.n = n
-        self.k = k
-        self.alpha = alpha
-        self.beta = beta
-        self._x: Optional[np.ndarray] = None
-        self._denom: Optional[np.ndarray] = None
-
-    def _window_sum_sq(self, x: np.ndarray) -> np.ndarray:
-        b, c, h, w = x.shape
-        half = self.n // 2
-        sq = x * x
-        acc = np.zeros_like(x)
-        for offset in range(-half, half + 1):
-            lo = max(0, -offset)
-            hi = min(c, c - offset)
-            acc[:, lo:hi] += sq[:, lo + offset : hi + offset]
-        return acc
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 4:
-            raise PlanError("LRN expects a 4-D NCHW tensor")
-        self._x = x
-        self._denom = self.k + (self.alpha / self.n) * self._window_sum_sq(x)
-        return x / self._denom**self.beta
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None or self._denom is None:
-            raise PlanError("backward called before forward")
-        x, denom = self._x, self._denom
-        # dL/dx = g / denom^beta  -  (2*alpha*beta/n) * x * S, where
-        # S[b,c] = sum over channels c' whose window includes c of
-        #          g[b,c'] * x[b,c'] / denom[b,c']^(beta+1).
-        term = grad * x / denom ** (self.beta + 1.0)
-        b, c, h, w = x.shape
-        half = self.n // 2
-        s = np.zeros_like(x)
-        for offset in range(-half, half + 1):
-            lo = max(0, -offset)
-            hi = min(c, c - offset)
-            s[:, lo + offset : hi + offset] += term[:, lo:hi]
-        return grad / denom**self.beta - (2.0 * self.alpha * self.beta / self.n) * x * s
-
-
-class Dropout(Layer):
-    """Inverted dropout: scales at train time, identity at eval time."""
-
-    def __init__(self, rate: float = 0.5, rng: Optional[np.random.Generator] = None):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.training = True
-        self._rng = rng or np.random.default_rng(0)
-        self._mask: Optional[np.ndarray] = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if not self.training or self.rate == 0.0:
-            self._mask = np.ones_like(x)
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise PlanError("backward called before forward")
-        return grad * self._mask
-
-
 class SoftmaxCrossEntropy:
     """Loss head: softmax + cross entropy with integer labels.
 

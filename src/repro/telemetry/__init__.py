@@ -98,12 +98,6 @@ __all__ = [
     "OracleRow",
     "demmel_dinh_bound_bytes",
     "oracle_report",
-    # lazy (see __getattr__): the bench-regression sentinel
-    "BenchMetric",
-    "RegressionReport",
-    "compare_directories",
-    "compare_ledgers",
-    "load_ledger",
 ]
 
 _LAZY_DRIFT = ("DriftReport", "DriftRow", "drift_report", "DEFAULT_DRIFT_THRESHOLD")
@@ -113,13 +107,6 @@ _LAZY_ORACLE = (
     "demmel_dinh_bound_bytes",
     "oracle_report",
     "DEFAULT_ATTAINMENT_THRESHOLD",
-)
-_LAZY_REGRESS = (
-    "BenchMetric",
-    "RegressionReport",
-    "compare_directories",
-    "compare_ledgers",
-    "load_ledger",
 )
 
 
@@ -134,9 +121,4 @@ def __getattr__(name: str):
         from repro.telemetry import oracle as _oracle
 
         return getattr(_oracle, name)
-    if name in _LAZY_REGRESS:
-        # regress is also a ``python -m`` entry point (runpy warning).
-        from repro.telemetry import regress as _regress
-
-        return getattr(_regress, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

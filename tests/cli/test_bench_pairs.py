@@ -1,6 +1,9 @@
-"""The paired-run verdict of ``scripts/bench_pairs.py`` on synthetic samples."""
+"""``scripts/bench_pairs.py``: the paired-run verdict on synthetic samples,
+and the working-tree copy the change side runs from."""
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,24 @@ class TestVerdict:
     def test_unequal_sides_rejected(self):
         with pytest.raises(ValueError):
             verdict(STEADY, STEADY[:5], "higher", 0.25)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+class TestSnapshot:
+    def test_copies_untracked_sources_not_ignored_caches(self, tmp_path):
+        repo, dest = tmp_path / "repo", tmp_path / "change"
+        (repo / "src" / "__pycache__").mkdir(parents=True)
+        (repo / ".gitignore").write_text("__pycache__/\n")
+        (repo / "src" / "tracked.py").write_text("A = 1\n")
+        (repo / "src" / "deleted.py").write_text("B = 2\n")
+        subprocess.run(["git", "init", "-q", str(repo)], check=True)
+        subprocess.run(["git", "-C", str(repo), "add", "-A"], check=True)
+        (repo / "src" / "deleted.py").unlink()
+        (repo / "src" / "untracked.py").write_text("C = 3\n")
+        (repo / "src" / "__pycache__" / "tracked.cpython-3.pyc").write_bytes(b"\0")
+
+        bench_pairs._snapshot(repo, dest)
+
+        copied = sorted(str(f.relative_to(dest)) for f in dest.rglob("*"))
+        assert copied == [".gitignore", "src", "src/tracked.py", "src/untracked.py"]
+        assert (dest / "src" / "untracked.py").read_text() == "C = 3\n"

@@ -185,6 +185,7 @@ def _oracle(tmp_path):
 
 #: One document of every kind: the committed records plus small fresh ones.
 DOCUMENTS = {
+    schema.ALGOS_SCHEMA: _committed("BENCH_algos.json"),
     schema.AUTOTUNE_SCHEMA: _committed("BENCH_autotune.json"),
     schema.FLEET_SCHEMA: _committed("BENCH_fleet.json"),
     schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
@@ -195,6 +196,8 @@ DOCUMENTS = {
     schema.METRICS_SCHEMA: _metrics,
     schema.FLIGHT_SCHEMA: _flight,
     schema.ORACLE_SCHEMA: _oracle,
+    schema.SERVE_SCHEMA: _committed("BENCH_serve.json"),
+    schema.TELEMETRY_SCHEMA: _committed("BENCH_telemetry.json"),
     "Chrome trace_event JSON": _trace,
 }
 
@@ -209,6 +212,12 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out == f"{path}: valid {kind}\n"
+
+    @pytest.mark.parametrize(
+        "path", sorted(BENCH_DIR.glob("BENCH_*.json")), ids=lambda path: path.name
+    )
+    def test_every_committed_record_passes(self, path):
+        assert schema.validate(json.loads(path.read_text())) == []
 
     @pytest.mark.parametrize("document", [{"rows": []}, {"schema": "repro.x/v9"}])
     def test_unknown_or_missing_tag(self, document, tmp_path, capsys):
@@ -273,6 +282,79 @@ class TestFastpathRecord:
         assert violations[0].startswith(f"conv_forward.{key}:")
 
 
+def _one_violation(name, path, value):
+    """The one violation of a committed record with ``path`` set to ``value``."""
+    record = _committed_record(name)
+    *parents, key = path
+    section = record
+    for step in parents:
+        section = section[step]
+    section[key] = value
+    violations = schema.validate(record)
+    assert len(violations) == 1, violations
+    return violations[0]
+
+
+class TestServeRecord:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("throughput", "bit_identical_outputs"), False,
+             "throughput.bit_identical_outputs"),
+            (("throughput", "speedup"), 2.9, "throughput.speedup"),
+            (("throughput", "batched", "completed"), 127,
+             "throughput.batched.completed"),
+            (("warm_cache", "warm_tuner_measurements"), 0,
+             "warm_cache.warm_tuner_measurements"),
+            (("warm_cache", "steady_state_tuner_measurements"), 7,
+             "warm_cache.steady_state_tuner_measurements"),
+            (("warm_cache", "steady_state_filter_packs"), 1,
+             "warm_cache.steady_state_filter_packs"),
+            (("warm_cache", "restart_tuner_measurements"), 1,
+             "warm_cache.restart_tuner_measurements"),
+            (("filter_pack", "packed_seconds"), 0.006,
+             "filter_pack.packed_seconds"),
+        ],
+    )
+    def test_each_bar_gives_one_line(self, path, value, field):
+        violation = _one_violation("BENCH_serve.json", path, value)
+        assert violation.startswith(f"{field}:")
+
+
+class TestAlgosRecord:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("rows", 1, "winner_gflops"), 500.0, "rows[1].winner_gflops"),
+            (("rows", 0, "winner_algorithm"), "fft", "rows[0].winner_algorithm"),
+            (("non_direct_winners",), 0, "non_direct_winners"),
+            (("non_direct_winners",), 5, "non_direct_winners"),
+            (("oracle", "flagged"), 1, "oracle.flagged"),
+        ],
+    )
+    def test_each_bar_gives_one_line(self, path, value, field):
+        violation = _one_violation("BENCH_algos.json", path, value)
+        assert violation.startswith(f"{field}:")
+
+
+class TestTelemetryRecord:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("metrics_flight", "disabled_bytes_allocated"), 64,
+             "metrics_flight.disabled_bytes_allocated"),
+            (("schedule_walk", "enabled_overhead_pct"), 50.0,
+             "schedule_walk.enabled_overhead_pct"),
+            (("table3_drift", "flagged"), 3, "table3_drift.flagged"),
+            (("table3_drift", "rows", 0, "flagged"), False,
+             "table3_drift.flagged"),
+        ],
+    )
+    def test_each_bar_gives_one_line(self, path, value, field):
+        violation = _one_violation("BENCH_telemetry.json", path, value)
+        assert violation.startswith(f"{field}:")
+
+
 class TestSmokeGates:
     """Each smoke reports a broken document once: the schema's line only."""
 
@@ -309,7 +391,7 @@ class TestSmokeGates:
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("chaos smoke FAIL")
         ]
-        assert failures == ["chaos smoke FAIL: availability 0.00% below 99%"]
+        assert failures == ["chaos smoke FAIL: availability: 0.0 below 0.99"]
 
     def test_fleet_chaos_smoke_reports_no_failover_once(
         self, tmp_path, monkeypatch, capsys
@@ -357,3 +439,20 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--chips", "0"], "--chips: must be >= 1, got 0"),
+            (["serve", "--chips", "-1"], "--chips: must be >= 1, got -1"),
+            (["serve", "--requests", "0"], "--requests: must be >= 1, got 0"),
+            (["metrics", "--requests", "0"], "--requests: must be >= 1, got 0"),
+            (["serve", "--chips", "1", "--chaos"], "at least 2 chips, got 1"),
+        ],
+    )
+    def test_bad_serve_counts_exit_with_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and message in err
