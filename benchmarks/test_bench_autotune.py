@@ -10,9 +10,11 @@ Records, into ``benchmarks/BENCH_autotune.json``:
 * cold-tune vs warm-cache wall time, with the hit/measured counters that
   prove the warm run re-measured nothing.
 
-The asserted floor — tuned+fused at least 1.3x the heuristic unfused
-pipeline — is the bench's acceptance bar; the written record carries the
-``repro.autotune/v1`` tag and passes ``python -m repro validate``.
+The asserted bars — tuned+fused at least 1.3x the heuristic unfused
+pipeline, 4 CGs more than 2.5x one — are ``common.schema``'s; the written
+record carries the ``repro.autotune/v1`` tag and passes
+``python -m repro validate``, which holds a committed record to the same
+bars.
 """
 
 import json
@@ -21,7 +23,12 @@ import time
 
 import numpy as np
 
-from repro.common.schema import AUTOTUNE_SCHEMA, validate
+from repro.common.schema import (
+    AUTOTUNE_SCHEMA,
+    MIN_FUSED_SPEEDUP,
+    MIN_SHARDING_SCALING,
+    validate,
+)
 from repro.core.conv import ConvolutionEngine
 from repro.core.fusion import unfused_pipeline_seconds
 from repro.core.params import ConvParams
@@ -69,9 +76,9 @@ def test_bench_autotune(benchmark, tmp_path):
     fused_report = ConvolutionEngine(fused_tuned.plan, fused_pool=2).evaluate()
     unfused_seconds = unfused_pipeline_seconds(heuristic, ACCEPT_PARAMS, pool=2)
     pipeline_speedup = unfused_seconds / fused_report.seconds
-    assert pipeline_speedup >= 1.3, (
+    assert pipeline_speedup >= MIN_FUSED_SPEEDUP, (
         f"tuned+fused pipeline only {pipeline_speedup:.2f}x the heuristic "
-        f"unfused path (acceptance bar is 1.3x)"
+        f"unfused path (acceptance bar is {MIN_FUSED_SPEEDUP}x)"
     )
     record["fused_vs_unfused"] = {
         "stack": "conv -> ReLU -> 2x2 avg pool",
@@ -84,7 +91,7 @@ def test_bench_autotune(benchmark, tmp_path):
     # -- 3. multi-CG batch sharding -----------------------------------------
     one = evaluate_chip_sharded(ACCEPT_PARAMS, num_groups=1)
     four = evaluate_chip_sharded(ACCEPT_PARAMS, num_groups=4)
-    assert four.gflops > 2.5 * one.gflops
+    assert four.gflops > MIN_SHARDING_SCALING * one.gflops
     record["batch_sharding"] = {
         "one_cg_gflops": round(one.gflops, 1),
         "four_cg_gflops": round(four.gflops, 1),

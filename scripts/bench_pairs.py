@@ -16,7 +16,10 @@ turn.  For each workload it prints, for every end-to-end metric of
 ``BENCHMARK.json``, the median and quartiles per side, how many pairs the
 change won, and the verdict of :func:`verdict` under the metric's
 ``bound``; and whether each pair's ``LEDGER`` lines (the deterministic
-simulated results) are identical.
+simulated results) are identical.  A run that exits non-zero or reports
+itself not correct is printed with its seed and its ``[FAIL]`` check
+lines; its pair is left out of the samples and the other pairs and
+workloads still run.
 
 Exit status is 1 if a run fails, a pair's ledgers differ or a metric's
 verdict is ``REGRESSION``, else 0.
@@ -75,8 +78,16 @@ def _snapshot(root: Path, dest: Path) -> None:
             shutil.copy2(source, target)
 
 
+class RunFailed(Exception):
+    """A run that exited non-zero or reported itself not correct."""
+
+
 def _run(side: Path, workload: str, seed: int, seconds: float) -> Tuple[dict, str]:
-    """One benchmark run; returns (end-to-end metric values, LEDGER line)."""
+    """One benchmark run; returns (end-to-end metric values, LEDGER line).
+
+    Raises :class:`RunFailed` with the run's stderr tail or its ``[FAIL]``
+    check lines.
+    """
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [
@@ -89,13 +100,15 @@ def _run(side: Path, workload: str, seed: int, seconds: float) -> Tuple[dict, st
         text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(
-            f"{side}: run exited {proc.returncode}:\n{proc.stderr[-2000:]}"
-        )
+        raise RunFailed(f"exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{side}: seed {seed} run not correct:\n{proc.stdout}")
+        checks = [line for line in lines if line.lstrip().startswith("[FAIL]")]
+        raise RunFailed(
+            f"not correct ({result['failed']} of {result['attempted']} "
+            f"operations failed):\n" + "\n".join(checks)
+        )
     ledger = next(line for line in lines if line.startswith(LEDGER_PREFIX))
     values = {name: m["value"] for name, m in result["metrics"].items()}
     return values, ledger
@@ -159,14 +172,22 @@ def _compare(
     samples: Dict[str, Dict[str, List[float]]] = {
         name: {"parent": [], "change": []} for name, _, _ in metrics
     }
-    identical = 0
+    identical = failed = 0
     print(f"{workload}: {pairs} pairs of {seconds:g} s, parent {parent} vs "
           f"the working tree of {ROOT}")
     seeds = random.SystemRandom()
     for i in range(pairs):
         seed = seeds.randrange(1, 1_000_000)
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: _run(sides[side], workload, seed, seconds) for side in order}
+        runs = {}
+        try:
+            for side in order:
+                runs[side] = _run(sides[side], workload, seed, seconds)
+        except RunFailed as exc:
+            failed += 1
+            print(f"  pair {i + 1} seed {seed}: the {side} run failed, pair left "
+                  f"out: {exc}", flush=True)
+            continue
         same = runs["parent"][1] == runs["change"][1]
         identical += same
         cells = []
@@ -179,6 +200,11 @@ def _compare(
               + "; ".join(cells)
               + f"; LEDGER {'identical' if same else 'DIFFERS'}", flush=True)
 
+    done = pairs - failed
+    if failed:
+        print(f"{failed} of {pairs} pairs left out: a run failed")
+    if not done:
+        return False
     print("metric (better)            parent median [q1, q3]        "
           "change median [q1, q3]        change wins   verdict")
     regression = False
@@ -191,11 +217,11 @@ def _compare(
         regression |= result == "REGRESSION"
         print(f"  {name:<12} ({better:<6})  {pm:10.4g} [{p1:.4g}, {p3:.4g}]"
               f"    {cm:10.4g} [{c1:.4g}, {c3:.4g}]"
-              f"    {wins}/{pairs}"
+              f"    {wins}/{done}"
               + (f" (x{cm / pm:.3g})" if pm else "")
               + f"   {result} (bound {bound:g})")
-    print(f"LEDGER lines identical in {identical}/{pairs} pairs", flush=True)
-    return identical == pairs and not regression
+    print(f"LEDGER lines identical in {identical}/{done} pairs", flush=True)
+    return not failed and identical == done and not regression
 
 
 def main(argv=None) -> int:

@@ -131,7 +131,7 @@ def cmd_tune(args) -> int:
     heuristic = plan_convolution(params)
     baseline = ConvolutionEngine(heuristic.plan).evaluate()
     result = autotune(
-        params, cache=cache, top_k=args.top_k, jobs=args.jobs,
+        params, cache=cache, top_k=args.top_k,
         force=args.force, algorithms=algorithms,
     )
     space = len(search_space(params, algorithms=algorithms))
@@ -910,7 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--k", type=int, default=3, help="filter size")
     tune.add_argument("--batch", type=int, default=128, help="batch size")
     tune.add_argument("--top-k", type=int, default=12, help="candidates measured")
-    tune.add_argument("--jobs", type=int, default=1, help="measurement workers")
     tune.add_argument("--cache", metavar="PATH", help="plan-cache directory")
     tune.add_argument("--no-cache", action="store_true", help="skip the cache")
     tune.add_argument("--force", action="store_true", help="re-tune even on hit")

@@ -57,6 +57,10 @@ MIN_BATCHED_SPEEDUP = 3.0
 MAX_PACKED_RATIO = 1.10
 #: Enabled telemetry's cost on the Table III schedule walk, in percent.
 MAX_WALK_OVERHEAD_PCT = 50.0
+#: Fusion-aware tuned conv->ReLU->pool step over the heuristic unfused one.
+MIN_FUSED_SPEEDUP = 1.3
+#: Batch-sharded 4-CG chip throughput over one CG (must exceed this).
+MIN_SHARDING_SCALING = 2.5
 
 _TYPES = {"str": str, "int": int, "number": (int, float), "bool": bool, "any": object}
 
@@ -553,6 +557,8 @@ _AUTOTUNE = {
 
 def _autotune_rules(doc: Dict[str, Any]) -> List[str]:
     tuned, warm = doc["heuristic_vs_tuned"], doc["plan_cache"]["warm_measured"]
+    fused = doc["fused_vs_unfused"]["speedup"]
+    scaling = doc["batch_sharding"]["scaling"]
     bars = [
         (tuned["tuned_gflops"] >= tuned["heuristic_gflops"],
          f"heuristic_vs_tuned.tuned_gflops: {tuned['tuned_gflops']} below the "
@@ -560,6 +566,10 @@ def _autotune_rules(doc: Dict[str, Any]) -> List[str]:
         (tuned["measured"] <= tuned["candidates"],
          f"heuristic_vs_tuned.measured: {tuned['measured']} exceeds "
          f"{tuned['candidates']} candidates"),
+        (fused >= MIN_FUSED_SPEEDUP,
+         f"fused_vs_unfused.speedup: {fused} below {MIN_FUSED_SPEEDUP}"),
+        (scaling > MIN_SHARDING_SCALING,
+         f"batch_sharding.scaling: {scaling} not above {MIN_SHARDING_SCALING}"),
         (warm == 0, f"plan_cache.warm_measured: {warm} measured on a warm hit"),
         (doc["parity"]["matches_reference"],
          "parity.matches_reference: the tuned plan misses the reference"),

@@ -36,7 +36,7 @@ blocking sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,11 +46,12 @@ from repro.core.conv import (
     BACKENDS,
     OVERLAP_CONTENTION,
     ConvolutionEngine,
+    CostProgram,
+    PricedWalk,
     TimingReport,
     _check_timing_knobs,
-    _count_evaluation,
+    _evaluated,
     _fold_program,
-    _memoized_report,
     _StepCost,
 )
 from repro.core.gemm_plan import (
@@ -65,7 +66,7 @@ from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan
 from repro.core.reference import conv2d_im2col
 from repro.core.register_blocking import PAPER_REGISTER_BLOCKING, RegisterBlocking
-from repro.hw.dma import DMABandwidthModel
+from repro.hw.dma import table_ii_model
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY, DMAStream, blended_mbw
 from repro.perf.equations import DS, rbw_ldm_reg_gemm_simd
@@ -448,6 +449,36 @@ class WinogradPlan(LoweredConvPlan):
         ]
 
 
+@dataclass(frozen=True)
+class StagedWalk(PricedWalk):
+    """A lowered plan's walk: the serial ``staging`` pass, then the
+    pipelined GEMM ``program``.  ``flops`` is the layer's
+    direct-equivalent count, reported as is."""
+
+    staging: _StepCost
+
+    def _staging_seconds(self) -> float:
+        return self.staging.get_seconds + self.staging.put_seconds
+
+    def lower_bound(self) -> float:
+        """The staging time plus the GEMM program's bound."""
+        return self._staging_seconds() + super().lower_bound()
+
+    def fold(self) -> TimingReport:
+        staging, staging_seconds = self.staging, self._staging_seconds()
+        gemm = _fold_program(self.program, self.contention, self.peak_flops)
+        return TimingReport(
+            seconds=staging_seconds + gemm.seconds,
+            flops=self.flops,
+            dma_seconds=staging_seconds + gemm.dma_seconds,
+            compute_seconds=gemm.compute_seconds,
+            bytes_get=staging.bytes_get + gemm.bytes_get,
+            bytes_put=staging.bytes_put + gemm.bytes_put,
+            tiles=gemm.tiles + 1,
+            peak_flops=self.peak_flops,
+        )
+
+
 class LoweredConvEngine:
     """Functional + timed execution of a lowered plan, engine-compatible.
 
@@ -497,7 +528,7 @@ class LoweredConvEngine:
         self.fused_pool = 1
         self.mesh_size = self.spec.mesh_size
         self.telemetry = telemetry if telemetry is not None else current_telemetry()
-        self._dma_model = DMABandwidthModel(alignment=self.spec.dma_alignment)
+        self._dma_model = table_ii_model(self.spec.dma_alignment)
         self._gemm_engine = GemmEngine(
             plan.gemm_plan(),
             backend=backend,
@@ -523,7 +554,8 @@ class LoweredConvEngine:
         """The serial lowering/transform DMA pass (no overlap to hide it)."""
         raise NotImplementedError
 
-    def _gemm_report(self) -> TimingReport:
+    def _gemm_program(self) -> CostProgram:
+        """The pipelined GEMM stage's priced tile program."""
         raise NotImplementedError
 
     def _timing_key(self) -> Tuple:
@@ -542,24 +574,20 @@ class LoweredConvEngine:
         "how fast is this layer", not "how busy is the mesh" — the same
         convention the baselines and Table III use.
         """
-        report, hit = _memoized_report(self._timing_key(), self._timed_walk)
-        _count_evaluation(self.telemetry.counters, report, hit)
-        return replace(report)
+        return _evaluated(self, self._timed_walk)
+
+    def priced_walk(self) -> StagedWalk:
+        """The staging pass and the GEMM program, priced, ready to fold or bound."""
+        return StagedWalk(
+            self._gemm_program(),
+            self.overlap_contention,
+            self.spec.peak_flops_per_cg,
+            self.plan.params.flops(),
+            self._staging_cost(),
+        )
 
     def _timed_walk(self) -> TimingReport:
-        staging = self._staging_cost()
-        staging_seconds = staging.get_seconds + staging.put_seconds
-        gemm = self._gemm_report()
-        return TimingReport(
-            seconds=staging_seconds + gemm.seconds,
-            flops=self.plan.params.flops(),
-            dma_seconds=staging_seconds + gemm.dma_seconds,
-            compute_seconds=gemm.compute_seconds,
-            bytes_get=staging.bytes_get + gemm.bytes_get,
-            bytes_put=staging.bytes_put + gemm.bytes_put,
-            tiles=gemm.tiles + 1,
-            peak_flops=self.spec.peak_flops_per_cg,
-        )
+        return self.priced_walk().fold()
 
     # -- functional -----------------------------------------------------------
 
@@ -657,8 +685,8 @@ class Im2colEngine(LoweredConvEngine):
             bytes_put=lowered,
         )
 
-    def _gemm_report(self) -> TimingReport:
-        return self._gemm_engine.evaluate()
+    def _gemm_program(self) -> CostProgram:
+        return self._gemm_engine._priced_program()
 
     def _compute(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         p = self.plan.params
@@ -739,7 +767,7 @@ class WinogradEngine(LoweredConvEngine):
             bytes_put=c_bytes,
         )
 
-    def _gemm_report(self) -> TimingReport:
+    def _gemm_program(self) -> CostProgram:
         gplan = self.plan.gemm_plan()
         chunks = list(gplan.k_chunks())
         cost_memo: Dict[Tuple, _StepCost] = {}
@@ -752,9 +780,7 @@ class WinogradEngine(LoweredConvEngine):
                     cost = self._pointwise_cost(*key)
                     cost_memo[key] = cost
                 costs.append(cost)
-        return _fold_program(
-            [(tuple(costs), 1)], self.overlap_contention, self.spec.peak_flops_per_cg
-        )
+        return [(tuple(costs), 1)]
 
     def _compute(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         p = self.plan.params

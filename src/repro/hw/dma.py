@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +40,8 @@ class DMABandwidthModel:
     size return the measured value exactly (so the Table II micro-benchmark
     reproduces the table verbatim); other block sizes interpolate linearly in
     ``log2(size)``; sizes outside the measured range clamp to the end points.
+    :meth:`bandwidth` memoizes its answers on the instance, so a model is
+    read-only once built.
     """
 
     def __init__(
@@ -56,6 +59,7 @@ class DMABandwidthModel:
         self._put = [table[s][1] for s in self._sizes]
         self.alignment = alignment
         self.misalignment_factor = misalignment_factor
+        self._memo: Dict[Tuple[int, str, bool], float] = {}
 
     def get_bandwidth(self, block_bytes: int, aligned: bool = True) -> float:
         """Memory -> LDM bandwidth in bytes/second for a given block size."""
@@ -66,12 +70,19 @@ class DMABandwidthModel:
         return self._lookup(block_bytes, self._put, aligned)
 
     def bandwidth(self, block_bytes: int, direction: str, aligned: bool = True) -> float:
-        """Bandwidth for ``direction`` in {"get", "put"}."""
-        if direction == "get":
-            return self.get_bandwidth(block_bytes, aligned)
-        if direction == "put":
-            return self.put_bandwidth(block_bytes, aligned)
-        raise ValueError(f"direction must be 'get' or 'put', got {direction!r}")
+        """Bandwidth for ``direction`` in {"get", "put"}, memoized per
+        ``(block_bytes, direction, aligned)``."""
+        key = (block_bytes, direction, aligned)
+        value = self._memo.get(key)
+        if value is None:
+            if direction == "get":
+                value = self.get_bandwidth(block_bytes, aligned)
+            elif direction == "put":
+                value = self.put_bandwidth(block_bytes, aligned)
+            else:
+                raise ValueError(f"direction must be 'get' or 'put', got {direction!r}")
+            self._memo[key] = value
+        return value
 
     def effective_bandwidth(
         self, block_bytes: int, get_fraction: float = 0.5, aligned: bool = True
@@ -118,6 +129,14 @@ class DMABandwidthModel:
         if not exact and not aligned and not self.is_aligned(block_bytes):
             value *= self.misalignment_factor
         return value * GB
+
+
+@lru_cache(maxsize=None)
+def table_ii_model(alignment: int = 128) -> DMABandwidthModel:
+    """The default Table II model at one burst alignment, shared by every
+    engine that prices against it and by :mod:`repro.perf.dma_model`'s
+    lookups (so they share its lookup memo)."""
+    return DMABandwidthModel(alignment=alignment)
 
 
 @dataclass

@@ -9,10 +9,9 @@ without constructing hardware objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
-from repro.hw.dma import DMABandwidthModel
+from repro.hw.dma import DMABandwidthModel, table_ii_model
 
 #: Fraction of the Table II (sequential micro-benchmark) bandwidth that a
 #: convolution's strided, multi-stream DMA traffic actually achieves.
@@ -23,18 +22,13 @@ from repro.hw.dma import DMABandwidthModel
 DMA_STRIDE_EFFICIENCY = 0.70
 
 
-@lru_cache(maxsize=1)
-def _default_model() -> DMABandwidthModel:
-    return DMABandwidthModel()
-
-
 def measured_dma_bandwidth(
     block_bytes: int,
     direction: str = "get",
     model: Optional[DMABandwidthModel] = None,
 ) -> float:
     """Table II bandwidth (bytes/s) for one DMA direction at a block size."""
-    m = model or _default_model()
+    m = model or table_ii_model()
     return m.bandwidth(block_bytes, direction, aligned=m.is_aligned(block_bytes))
 
 
@@ -49,7 +43,7 @@ def mem_ldm_mbw(
     plan's ``RBW``: a time-weighted blend of the get and put curves at the
     plan's leading-dimension block size.
     """
-    m = model or _default_model()
+    m = model or table_ii_model()
     return m.effective_bandwidth(
         block_bytes, get_fraction=get_fraction, aligned=m.is_aligned(block_bytes)
     )
@@ -97,7 +91,7 @@ def blended_mbw(
         raise ValueError(
             f"stride_efficiency must be in (0, 1], got {stride_efficiency}"
         )
-    m = model or _default_model()
+    m = model or table_ii_model()
     total_bytes = sum(s.bytes_moved for s in streams)
     if total_bytes == 0:
         raise ValueError("all DMA streams are empty")

@@ -20,12 +20,14 @@ The points are int64 columns (:class:`SearchSpace`) in that nested-loop
 order, the register shape varying fastest.  Every point is
 **LDM-capacity-feasible**: one mask sums its per-CPE regions the way the
 :class:`~repro.hw.ldm.LDMAllocator` of the execution engine allocates them.
+The blockings and the mask are the per-shape grids the heuristic choosers
+of :mod:`repro.core.ldm_blocking` select from, built once for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +42,8 @@ from repro.core.algorithms import (
 from repro.core.ldm_blocking import (
     BatchBlocking,
     ImageBlocking,
-    _divisor_candidates,
-    _ni_candidates,
-    _per_cpe,
+    _batch_grid,
+    _image_grid,
 )
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan, make_plan
@@ -50,7 +51,6 @@ from repro.core.register_blocking import (
     PAPER_REGISTER_BLOCKING,
     RegisterBlocking,
 )
-from repro.hw.ldm import LDMAllocator, _round_up
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 
 #: Register-blocking shapes the search considers by default: the paper's
@@ -123,64 +123,6 @@ class Candidate:
                 f"{' +flt' if blk.promote_filter else ''}"
             )
         return f"{self.family}({body}) rb=({rb.rb_b},{rb.rb_no})"
-
-
-def _grid(*axes: Iterable[Optional[int]]) -> np.ndarray:
-    """The cross product of ``axes`` as int64 rows in nested-loop order
-    (the last axis fastest); ``None`` becomes 0."""
-    mesh = np.meshgrid(
-        *[np.array([v or 0 for v in axis], dtype=np.int64) for axis in axes],
-        indexing="ij",
-    )
-    return np.stack([column.ravel() for column in mesh], axis=1)
-
-
-def _ni_block(b_ni: np.ndarray, ni: int) -> np.ndarray:
-    """``ni_block`` of the blockings over a ``b_ni`` column (0 = full)."""
-    return np.where(b_ni > 0, np.minimum(ni, b_ni), ni)
-
-
-def _ldm_fits(
-    inputs: np.ndarray, ni: np.ndarray, promote_filter: np.ndarray,
-    outputs: np.ndarray, params: ConvParams, spec: SW26010Spec,
-) -> np.ndarray:
-    """``fits_in_ldm`` of each point's five per-CPE regions (input and
-    filter ping/pong, output), each aligned as the allocator aligns it."""
-    filters = ni * params.no * np.where(promote_filter, params.kc, 1)
-    inp, flt, out = (
-        _round_up(_per_cpe(elems, spec), LDMAllocator.ALIGN)
-        for elems in (inputs, filters, outputs)
-    )
-    return 2 * inp + 2 * flt + out <= spec.ldm_bytes
-
-
-def _image_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
-    """Every image-size-aware blocking as a :class:`SearchSpace` row, and
-    whether it fits LDM (the regions of ``image_plan_ldm_bytes``)."""
-    p = params
-    points = _grid(
-        _ni_candidates(p.ni),
-        _divisor_candidates(min(p.b, 256), 8),
-        _divisor_candidates(min(p.co, 128), 4),
-        (0, 1),
-        (0, 1),
-    )
-    b_ni, b_b, b_co, promote_input, promote_filter = points.T
-    ni = _ni_block(b_ni, p.ni)
-    inputs = ni * b_b * (b_co + (p.kc - 1) * promote_input)
-    return points, _ldm_fits(inputs, ni, promote_filter, b_b * p.no * b_co, p, spec)
-
-
-def _batch_grid(params: ConvParams, spec: SW26010Spec) -> Tuple[np.ndarray, np.ndarray]:
-    """Every batch-size-aware blocking as a row (the batch is kept whole),
-    and whether it fits LDM (the regions of ``batch_plan_ldm_bytes``)."""
-    p = params
-    points = _grid(
-        _ni_candidates(p.ni), (0,), _divisor_candidates(min(p.co, 128), 1), (0,), (0, 1)
-    )
-    b_ni, _, b_co, _, promote_filter = points.T
-    ni = _ni_block(b_ni, p.ni)
-    return points, _ldm_fits(ni * p.b, ni, promote_filter, b_co * p.b * p.no, p, spec)
 
 
 #: The two loop-schedule families of the search space (Algorithms 1 and 2).

@@ -9,9 +9,11 @@
    built) and ranked by one stable sort;
 3. the best ``top_k`` by model score — plus the heuristic planner's choice,
    so the tuner can never do worse than the status quo — become
-   :class:`~repro.tune.space.Candidate` objects and are *measured* by
-   walking their timed schedules on the simulator, fanned out over
-   processes with :func:`~repro.common.parallel.parallel_map`;
+   :class:`~repro.tune.space.Candidate` objects, the *survivors*, and are
+   *measured* on the simulator (:func:`_measure`): each survivor's timed
+   walk is priced and its time bounded from below, survivors fold in
+   ascending bound order, and once the next bound exceeds the best folded
+   time the rest are skipped, since none of them can win;
 4. the measured winner is persisted in the :class:`~repro.tune.cache.PlanCache`
    so later processes skip straight to step 0: a cache hit returns the
    stored plan with zero candidates measured.
@@ -24,6 +26,7 @@ measured ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,14 +35,20 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.common.errors import LDMOverflowError, PlanError
-from repro.common.parallel import parallel_map
 from repro.core.algorithms import engine_for_plan, resolve_algorithms
-from repro.core.conv import ConvolutionEngine, effective_mesh_size
+from repro.core.conv import (
+    PricedWalk,
+    TimingReport,
+    _cached_report,
+    _evaluated,
+    effective_mesh_size,
+)
 from repro.core.params import ConvParams
 from repro.core.plans import ConvPlan
 from repro.core.layout import batch_plan_block_bytes, image_plan_block_bytes
+from repro.core.ldm_blocking import _ni_block
 from repro.core.register_blocking import RegisterBlocking
-from repro.core.serialize import params_from_dict, params_to_dict, plan_from_dict, plan_to_dict
+from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.hw.spec import SW26010Spec, DEFAULT_SPEC
 from repro.perf.dma_model import DMAStream, blended_mbw
 from repro.perf.equations import (
@@ -53,7 +62,7 @@ from repro.perf.model import PerformanceEstimate, _measured_ee
 from repro.perf.roofline import bandwidth_bound_fraction
 from repro.telemetry import current_telemetry
 from repro.tune.cache import PlanCache
-from repro.tune.space import Candidate, SearchSpace, _ni_block, search_space
+from repro.tune.space import Candidate, SearchSpace, search_space
 
 
 @dataclass
@@ -66,7 +75,9 @@ class TunedPlan:
     seconds: float  # measured layer time of the winner
     source: str  # "cache" | "tuned"
     candidates: int  # feasible points enumerated
-    measured: int  # points actually timed on the simulator (0 on a hit)
+    #: Survivors the measurement decides among (0 on a hit); those it could
+    #: skip without folding their walks are counted by ``tune.pruned``.
+    measured: int
     cache_path: Optional[Path] = None
 
 
@@ -184,18 +195,53 @@ def score_candidate(
     )
 
 
-def _measure_job(
-    job: Tuple[Candidate, Dict[str, int], SW26010Spec, int]
-) -> Tuple[float, float]:
-    """Worker: timed schedule walk of one candidate; returns (seconds, gflops).
+def _measure(
+    survivors: Sequence[Candidate],
+    params: ConvParams,
+    spec: SW26010Spec,
+    fault_plan,
+    fused_pool: int,
+) -> Tuple[int, TimingReport]:
+    """Step 3: the index and timed report of the fastest survivor.
 
-    Module-level so :func:`parallel_map` can pickle it.
+    Each survivor's engine is built and its time bounded from below: the
+    exact ``seconds`` of a walk already in the timing memo, else its priced
+    walk's :meth:`~repro.core.conv.PricedWalk.lower_bound`.  Survivors fold
+    in ascending bound order until the next bound exceeds the best folded
+    ``seconds``.  A skipped survivor is then strictly slower than a folded
+    one, so the ``(seconds, describe())`` minimum over the folded survivors
+    is the minimum over all of them.  Folds go through the memo and count
+    as engine evaluations; ``tune.pruned`` counts the skipped survivors.
     """
-    candidate, params_dict, spec, fused_pool = job
-    params = params_from_dict(params_dict)
-    plan = candidate.build(params, spec)
-    report = engine_for_plan(plan, spec=spec, fused_pool=fused_pool).evaluate()
-    return report.seconds, report.gflops
+    engines = [
+        engine_for_plan(
+            c.build(params, spec), spec=spec, fault_plan=fault_plan, fused_pool=fused_pool
+        )
+        for c in survivors
+    ]
+    walks: List[Optional[PricedWalk]] = []
+    bounds: List[float] = []
+    for engine in engines:
+        cached = _cached_report(engine._timing_key())
+        if cached is not None:
+            walks.append(None)
+            bounds.append(cached.seconds)
+        else:
+            walks.append(engine.priced_walk())
+            bounds.append(walks[-1].lower_bound())
+    reports: Dict[int, TimingReport] = {}
+    best = math.inf
+    for i in sorted(range(len(survivors)), key=bounds.__getitem__):
+        if bounds[i] > best:
+            break
+        # A memoized survivor reads the memo; its own walk runs only if the
+        # memo was emptied since it was bounded.
+        fold = engines[i]._timed_walk if walks[i] is None else walks[i].fold
+        reports[i] = _evaluated(engines[i], fold)
+        best = min(best, reports[i].seconds)
+    current_telemetry().counters.add("tune.pruned", len(survivors) - len(reports))
+    best_i = min(reports, key=lambda i: (reports[i].seconds, survivors[i].describe()))
+    return best_i, reports[best_i]
 
 
 def _resolve_cache(
@@ -279,6 +325,9 @@ def autotune(
     into the zoo's lowered families (im2col, Winograd) alongside or
     instead of the direct mapping — like ``families`` it enters the cache
     key only when set, so every pre-zoo direct entry keeps its key.
+    ``jobs`` is accepted and has no effect: the measure step folds in the
+    calling process, since after the bound a tune folds a few walks of
+    ~0.1 ms each, far less than a worker pool takes to start.
     """
     resolved_algorithms = resolve_algorithms(algorithms)
     if fault_plan is not None and resolved_algorithms != ("direct",):
@@ -368,33 +417,12 @@ def autotune(
             f"{fused_pool}x{fused_pool} pooling accumulator in LDM"
         )
 
-    params_dict = params_to_dict(params)
     # Measurements are counted so serving can *prove* its warm steady state:
     # a request that never tunes inline records zero here.
     current_telemetry().counters.add("tune.measurements", len(survivors))
-    if fault_plan is None:
-        results = parallel_map(
-            _measure_job,
-            [(c, params_dict, spec, fused_pool) for c in survivors],
-            jobs=jobs,
-        )
-    else:
-        # Degraded tuning runs in-process: the fault plan's RNG streams and
-        # ledger stay attached to the caller's instance.
-        results = []
-        for cand in survivors:
-            plan = cand.build(params, spec)
-            report = ConvolutionEngine(
-                plan, spec=spec, fault_plan=fault_plan, fused_pool=fused_pool
-            ).evaluate()
-            results.append((report.seconds, report.gflops))
-
-    best_i = min(
-        range(len(survivors)),
-        key=lambda i: (results[i][0], survivors[i].describe()),
-    )
+    best_i, report = _measure(survivors, params, spec, fault_plan, fused_pool)
     winner = survivors[best_i]
-    seconds, gflops = results[best_i]
+    seconds, gflops = report.seconds, report.gflops
     plan = winner.build(params, spec)
 
     cache_path: Optional[Path] = None
@@ -437,7 +465,6 @@ def warm_cache(
     backend: str = "numpy",
     cache: Union[None, str, Path, PlanCache] = None,
     top_k: int = 12,
-    jobs: int = 1,
     num_groups: Optional[int] = None,
 ) -> List[TunedPlan]:
     """Pre-tune a model zoo entry's conv shapes (and their CG row strips).
@@ -466,7 +493,6 @@ def warm_cache(
             backend=backend,
             cache=plan_cache if plan_cache is not None else False,
             top_k=top_k,
-            jobs=jobs,
         )
         for shape in wanted
     ]

@@ -1,7 +1,8 @@
 """``scripts/bench_pairs.py``: the paired-run verdict on synthetic samples,
-and the working-tree copy the change side runs from."""
+the working-tree copy the change side runs from, and failed runs."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 from pathlib import Path
@@ -92,3 +93,86 @@ class TestSnapshot:
         copied = sorted(str(f.relative_to(dest)) for f in dest.rglob("*"))
         assert copied == [".gitignore", "src", "src/tracked.py", "src/untracked.py"]
         assert (dest / "src" / "untracked.py").read_text() == "C = 3\n"
+
+
+_METRICS = [("ops_per_s", "higher", 0.25), ("p50_ms", "lower", 0.25)]
+_FAIL_LINE = "  [FAIL] p90 at half load: 102.8 ms over 100 ms"
+
+
+def _stub_runs(monkeypatch, failing):
+    """Replace ``_run``: every run passes but the ``failing`` calls
+    (numbered from 0), which raise like a not-correct run."""
+    calls = []
+
+    def run(side, workload, seed, seconds):
+        calls.append((side.name, workload, seed))
+        if len(calls) - 1 in failing:
+            raise bench_pairs.RunFailed(f"not correct:\n{_FAIL_LINE}")
+        values = {"setup_s": 0.3, "peak_rss_mb": 40.0, "ops_per_s": 100.0, "p50_ms": 10.0}
+        return values, 'LEDGER {"x": 1}'
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    return calls
+
+
+class TestFailedRun:
+    SIDES = {"parent": Path("parent"), "change": Path("change")}
+
+    def test_other_pairs_still_run(self, monkeypatch, capsys):
+        calls = _stub_runs(monkeypatch, failing={2})  # pair 2's first run
+        clean = bench_pairs._compare("serve", self.SIDES, _METRICS, 4, 1.0, "HEAD~1")
+        out = capsys.readouterr().out
+        assert not clean
+        # Pair 2 stops at its failed run; pairs 1, 3 and 4 run both sides.
+        assert len(calls) == 7
+        failed_seed = calls[2][2]
+        assert f"pair 2 seed {failed_seed}: the change run failed" in out
+        assert _FAIL_LINE in out
+        assert "1 of 4 pairs left out" in out
+        assert "3/3" in out  # wins counted over the three finished pairs
+        assert "LEDGER lines identical in 3/3 pairs" in out
+
+    def test_every_pair_failing_gives_no_table(self, monkeypatch, capsys):
+        _stub_runs(monkeypatch, failing={0, 1, 2})
+        clean = bench_pairs._compare("sweep", self.SIDES, _METRICS, 3, 1.0, "HEAD~1")
+        out = capsys.readouterr().out
+        assert not clean
+        assert "3 of 3 pairs left out" in out
+        assert "metric (better)" not in out
+
+    def test_later_workloads_still_run_and_exit_is_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench_pairs, "_export", lambda ref, dest: None)
+        monkeypatch.setattr(bench_pairs, "_snapshot", lambda root, dest: None)
+        calls = _stub_runs(monkeypatch, failing={0})
+        status = bench_pairs.main(
+            ["--parent", "HEAD~1", "--workload", "all", "--pairs", "2", "--seconds", "1"]
+        )
+        assert status == 1
+        assert [w for _, w, _ in calls].count("train") == 4
+        assert "LEDGER lines identical in 2/2 pairs" in capsys.readouterr().out
+
+    def test_clean_runs_exit_0(self, monkeypatch):
+        monkeypatch.setattr(bench_pairs, "_export", lambda ref, dest: None)
+        monkeypatch.setattr(bench_pairs, "_snapshot", lambda root, dest: None)
+        _stub_runs(monkeypatch, failing=set())
+        assert bench_pairs.main(
+            ["--parent", "HEAD~1", "--workload", "sweep", "--pairs", "2", "--seconds", "1"]
+        ) == 0
+
+    def test_run_reports_the_failed_checks(self, monkeypatch, tmp_path):
+        stdout = "\n".join([
+            "checks:",
+            "  [ok] queue drained: 0 left",
+            _FAIL_LINE,
+            'LEDGER {"x": 1}',
+            json.dumps({"correct": False, "attempted": 40, "failed": 0, "metrics": {}}),
+        ])
+        monkeypatch.setattr(
+            bench_pairs.subprocess,
+            "run",
+            lambda *a, **k: subprocess.CompletedProcess(a, 0, stdout=stdout, stderr=""),
+        )
+        with pytest.raises(bench_pairs.RunFailed) as failure:
+            bench_pairs._run(tmp_path, "serve", 7, 1.0)
+        assert _FAIL_LINE.strip() in str(failure.value)
+        assert "queue drained" not in str(failure.value)

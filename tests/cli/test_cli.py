@@ -258,6 +258,8 @@ class TestAutotuneRecord:
         [
             ("heuristic_vs_tuned", "tuned_gflops", 400.0),
             ("heuristic_vs_tuned", "measured", 10**6),
+            ("fused_vs_unfused", "speedup", 1.29),
+            ("batch_sharding", "scaling", 2.5),
             ("plan_cache", "warm_measured", 1),
             ("parity", "matches_reference", False),
         ],

@@ -19,6 +19,7 @@ from repro.core.algorithms import GemmBlocking, WinogradEngine, make_lowered_pla
 from repro.core.conv import (
     ConvolutionEngine,
     TimingReport,
+    _fold_program,
     _pipeline_timeline,
     _StepCost,
     clear_timing_cache,
@@ -346,7 +347,10 @@ class TestLoweredFoldsMatchPerTileFold:
         plan = make_lowered_plan("winograd", params, blocking=blocking)
         engine = WinogradEngine(plan)
         costs = _gemm_costs(engine._pointwise_cost, engine.plan.gemm_plan())
-        assert engine._gemm_report() == _folded_report(engine, costs)
+        gemm = _fold_program(
+            engine._gemm_program(), engine.overlap_contention, engine.spec.peak_flops_per_cg
+        )
+        assert gemm == _folded_report(engine, costs)
 
 
 _seconds = st.floats(min_value=0.0, max_value=1e-3, allow_nan=False)
@@ -448,13 +452,13 @@ class TestPaperScalePrograms:
     def test_measured_plans_fold_like_the_oracle(self, params, monkeypatch):
         strip = params.with_rows(params.ro // DEFAULT_SPEC.num_core_groups)
         measured = []
-        measure = tuner._measure_job
+        measure = tuner._measure
 
-        def record(job):
-            measured.append(job[0])
-            return measure(job)
+        def record(survivors, *args):
+            measured.extend(survivors)
+            return measure(survivors, *args)
 
-        monkeypatch.setattr(tuner, "_measure_job", record)
+        monkeypatch.setattr(tuner, "_measure", record)
         autotune(strip, cache=False, jobs=1)
         assert measured
         clear_timing_cache()

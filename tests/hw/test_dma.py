@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.units import GB
-from repro.hw.dma import DMABandwidthModel, DMAEngine
+from repro.hw.dma import DMABandwidthModel, DMAEngine, table_ii_model
 from repro.hw.ldm import LDM
 from repro.hw.memory import MainMemory
 from repro.hw.spec import TABLE_II_DMA_BANDWIDTH
@@ -81,6 +81,34 @@ class TestBandwidthModel:
         small = model.get_bandwidth(2**log_size)
         big = model.get_bandwidth(2 ** (log_size + 1) if log_size < 13 else 2**13)
         assert big >= small
+
+
+class TestMemoizedLookups:
+    def test_memo_answers_as_the_lookup(self, model):
+        for block in list(range(1, 5000, 37)) + [1 << 20]:
+            for direction in ("get", "put"):
+                for aligned in (True, False):
+                    column = model._get if direction == "get" else model._put
+                    expected = model._lookup(block, column, aligned)
+                    assert model.bandwidth(block, direction, aligned) == expected
+                    assert model.bandwidth(block, direction, aligned) == expected
+
+    def test_errors_are_not_memoized(self, model):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                model.bandwidth(0, "get")
+            with pytest.raises(ValueError):
+                model.bandwidth(64, "sideways")
+
+    def test_engines_share_one_model_per_alignment(self, small_params):
+        from repro.core.conv import ConvolutionEngine
+        from repro.core.planner import plan_convolution
+
+        plan = plan_convolution(small_params).plan
+        first, second = ConvolutionEngine(plan), ConvolutionEngine(plan)
+        assert first._dma_model is second._dma_model is table_ii_model(128)
+        assert table_ii_model(256) is not table_ii_model(128)
+        assert table_ii_model(256).alignment == 256
 
 
 class TestDMAEngine:

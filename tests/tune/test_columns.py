@@ -318,9 +318,11 @@ class TestAutotuneRanking:
         """The heuristic seed, then the reference ranking's best points in
         order, ties broken by enumeration order."""
         measured = []
-        measure = tuner._measure_job
+        measure = tuner._measure
         monkeypatch.setattr(
-            tuner, "_measure_job", lambda job: measured.append(job[0]) or measure(job)
+            tuner,
+            "_measure",
+            lambda survivors, *args: measured.extend(survivors) or measure(survivors, *args),
         )
         top_k = 12
         autotune(STRIP, cache=False, jobs=1, top_k=top_k)
