@@ -12,15 +12,16 @@ hang, two CPEs fenced):
   retry/hedge/demotion taxonomy, and p99 latency with vs without faults.
 
 Acceptance bars asserted here: zero wrong answers, the breaker actually
-cycled (>= 1 open), and the written record passes the chaos-serve schema
-the CI chaos stage checks (``python -m repro validate``), which also
-holds availability >= 99% (``MIN_AVAILABILITY``).
+cycled (>= 1 open), and the written record passes its schema,
+``repro.chaos_serve_bench/v1``, which the CI chaos stage checks
+(``python -m repro validate``): the chaos-serve bars, availability >= 99%
+(``MIN_AVAILABILITY``) among them, plus at least one breaker open.
 """
 
 import json
 import os
 
-from repro.common.schema import MIN_AVAILABILITY, validate
+from repro.common.schema import CHAOS_SERVE_BENCH_SCHEMA, MIN_AVAILABILITY, validate
 from repro.faults import default_chaos_serve_faults, run_chaos_serve
 
 RESULTS_PATH = os.path.join(
@@ -37,7 +38,7 @@ def _chaos(record):
         n_requests=N_REQUESTS,
         rate_rps=RATE_RPS,
     )
-    payload = report.as_dict()
+    payload = {**report.as_dict(), "schema": CHAOS_SERVE_BENCH_SCHEMA}
 
     assert report.wrong_answers == 0, (
         f"{report.wrong_answers} served answers differed from the "

@@ -29,6 +29,7 @@ ALGOS_SCHEMA = "repro.algos/v1"
 AUTOTUNE_SCHEMA = "repro.autotune/v1"
 CHAOS_FLEET_SCHEMA = "repro.chaos_fleet/v1"
 CHAOS_SERVE_SCHEMA = "repro.chaos_serve/v1"
+CHAOS_SERVE_BENCH_SCHEMA = "repro.chaos_serve_bench/v1"
 DATAPARALLEL_SCHEMA = "repro.dataparallel/v1"
 FASTPATH_SCHEMA = "repro.fastpath/v1"
 FLEET_SCHEMA = "repro.fleet/v1"
@@ -334,6 +335,20 @@ def _chaos_serve_rules(doc: Dict[str, Any]) -> List[str]:
     for i, label in enumerate(doc["breaker_transitions"]):
         if "->" not in label:
             errors.append(f"breaker_transitions[{i}]: malformed transition {label!r}")
+    return errors
+
+
+def _chaos_serve_bench_rules(doc: Dict[str, Any]) -> List[str]:
+    """The chaos-serve bars plus the bench's own: the breaker tripped.
+
+    The bench offers enough requests under its fault rate that the breaker
+    must open; a smoke run writes the plain chaos-serve tag and need not.
+    """
+    errors = _chaos_serve_rules(doc)
+    if doc["breaker_opened"] < 1:
+        errors.append("breaker_opened: 0 opens; the bench bar is at least 1")
+    if not any(label.endswith("->open") for label in doc["breaker_transitions"]):
+        errors.append("breaker_transitions: no transition into open recorded")
     return errors
 
 
@@ -765,6 +780,7 @@ KINDS: Dict[str, Tuple[Any, Callable[[Dict[str, Any]], List[str]]]] = {
     AUTOTUNE_SCHEMA: (_AUTOTUNE, _autotune_rules),
     CHAOS_FLEET_SCHEMA: (_CHAOS_FLEET, _chaos_fleet_rules),
     CHAOS_SERVE_SCHEMA: (_CHAOS_SERVE, _chaos_serve_rules),
+    CHAOS_SERVE_BENCH_SCHEMA: (_CHAOS_SERVE, _chaos_serve_bench_rules),
     DATAPARALLEL_SCHEMA: (_DATAPARALLEL, _dataparallel_rules),
     FASTPATH_SCHEMA: (_FASTPATH, _fastpath_rules),
     FLEET_SCHEMA: (_FLEET, _fleet_rules),

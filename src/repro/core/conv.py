@@ -8,13 +8,14 @@ A plan is walked twice, for two concerns (see :mod:`repro.core.plans`):
   ("mesh" and "mesh-fast" backends) — so a plan's output is compared
   against :func:`repro.core.reference.conv2d_reference`.  The mesh
   backends run the plan's compiled walk
-  (:meth:`~repro.core.plans.ConvPlan.compiled_walk`, built once per plan):
-  each run of consecutive same-shape updates, up to
-  :data:`~repro.core.plans.MESH_STACK_BYTES` of operands, is one stack.
-  A stack gathers its W and D operands by precomputed offsets, goes to
-  the mesh in one call, and adds its products to the output in scatter
-  rounds whose targets are disjoint, so every output element still
-  receives its products in schedule order.  This walk prices nothing.
+  (:meth:`~repro.core.plans.ConvPlan.compiled_walk`, built once per plan)
+  operand-major: per chunk of whole output tiles (up to
+  :data:`~repro.core.plans.MESH_STACK_BYTES` of buffers) and per filter
+  operand, in the one order every output element receives them, all the
+  chunk's windows go to the mesh in one call with the shared filter
+  slice, and the product is added into the chunk's accumulator.  Every
+  output element receives its products in schedule order.  This walk
+  prices nothing.
 * **Timed**: each distinct tile of the plan's run-length tile program is
   priced once — its DMA transfers against the Table II bandwidth curve
   (with the calibrated stride derate), its GEMM against the reordered
@@ -111,10 +112,10 @@ class _StepCost:
 
 #: Functional compute backends, slowest-but-deepest first: "mesh" simulates
 #: the Fig. 3 bus protocol for every tile GEMM; "mesh-fast" verifies the
-#: protocol once per tile-GEMM signature and then runs stacks of same-shape
-#: tile GEMMs on the vectorized fast path (bit-identical results, identical
-#: statistics); "numpy" computes the updates directly, tile by tile, without
-#: touching the mesh.
+#: protocol once per multiply signature and then runs each filter operand
+#: over a chunk of tiles on the vectorized fast path (bit-identical results,
+#: identical statistics); "numpy" computes the updates directly, tile by
+#: tile, without touching the mesh.
 BACKENDS = ("numpy", "mesh", "mesh-fast")
 
 #: Memoized timed walks of every engine family (direct and lowered): plan
@@ -844,8 +845,8 @@ class ConvolutionEngine:
         mutate ``w`` in place must bump the version (see
         :meth:`~repro.core.layers.Layer.notify_parameter_update`); passing
         ``None`` (the default) skips packing entirely.  The mesh backends
-        gather each stack's filter operands from ``w`` itself and ignore
-        it.
+        take each filter operand from ``w`` itself, once per run, and
+        ignore it.
         """
         p = self.plan.params
         if x.shape != p.input_shape:
@@ -884,7 +885,7 @@ class ConvolutionEngine:
             # Bus/LDM statistics describe one plan execution, not the
             # engine's lifetime.
             self._mesh_gemm.reset_stats()
-            self._run_stacks(x, w, out)
+            self._run_walk(x, w, out)
         else:
             self._run_updates(x, w, out, filter_version)
         # Fused epilogue: on hardware this runs per output tile while it is
@@ -957,31 +958,47 @@ class ConvolutionEngine:
                         "on,bnc->boc", w[:, ni_slice, c.kr, c.kc], window, optimize=True
                     )
 
-    def _run_stacks(self, x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-        """The mesh backends: the plan's compiled walk, one stack at a time.
+    def _run_walk(self, x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        """The mesh backends: the plan's compiled walk, operand-major.
 
-        Each :class:`~repro.core.plans.GemmStack` gathers its W stack (one
-        strided block per pair) and its D stack (per input channel, a block
-        of ``co_len``-long input rows) by the compiled offsets, multiplies
-        them in one register-comm call (each pair is still one Fig. 3
-        schedule, in schedule order), and adds the products to their output
-        rows one scatter round at a time.  Operands, stacks and each
-        element's addition order are those of updating tile by tile, so the
-        output is bit-identical to it.
+        Per chunk of whole tiles (:class:`~repro.core.plans.CompiledWalk`)
+        and per filter operand, in the operands' common order: gather
+        every tile's window into one stack of D operands, multiply it with
+        the shared filter slice in one register-comm call (each tile's
+        window is still one Fig. 3 pair), and add the product into the
+        chunk's accumulator.  The accumulator is then written to its tiles
+        once.  Every output element receives the products of updating
+        tile by tile, in the same order, so the output is bit-identical to
+        it.
         """
+        p = self.plan.params
+        walk = self.plan.compiled_walk()
         gemm = self._mesh_gemm
-        x_flat, w_flat, out_flat = x.ravel(), w.ravel(), out.reshape(-1)
-        for stack in self.plan.compiled_walk():
-            ni_len = stack.shape[1]
-            # (T, Ni-block, bb_len, co_len): each pair's window, channel-major.
-            d = _blocks(x_flat, *stack.x_block)[stack.x_base[:, None] + stack.x_pattern]
-            products = gemm.multiply(
-                _blocks(w_flat, *stack.w_block)[stack.w_base],
-                d.reshape(len(d), ni_len, -1),
-            ).reshape(d.shape[:1] + (-1,) + d.shape[2:])
-            targets = _blocks(out_flat, *stack.out_block)
-            for pairs, out_base in stack.rounds:
-                targets[out_base[:, None] + stack.out_pattern] += products[pairs]
+        x_flat, out_flat = x.ravel(), out.reshape(-1)
+        operands = [
+            (np.ascontiguousarray(w[:, ni0 : ni0 + ni_len, kr, kc]),
+             (ni0 * p.ri + kr) * p.ci + kc)
+            for kr, kc, ni0, ni_len in walk.operands
+        ]
+        x_strides = (p.ri * p.ci, p.ni * p.ri * p.ci, 1)
+        out_strides = (p.no * p.ro * p.co, p.ro * p.co, 1)
+        for chunk in walk.chunks:
+            bb_len, co_len = chunk.shape
+            tiles = len(chunk.x_base)
+            # Per Ni-block length, every window: (Ni-block, bb_len, co_len).
+            windows = {
+                ni_len: _blocks(x_flat, (ni_len, bb_len, co_len), x_strides)
+                for ni_len in {w_slice.shape[1] for w_slice, _ in operands}
+            }
+            acc = np.zeros((p.no, tiles, bb_len * co_len))
+            for w_slice, offset in operands:
+                ni_len = w_slice.shape[1]
+                d = windows[ni_len][chunk.x_base + offset].reshape(tiles, ni_len, -1)
+                acc += gemm.multiply(w_slice, d).transpose(1, 0, 2)
+            targets = _blocks(out_flat, (bb_len, p.no, co_len), out_strides)
+            targets[chunk.out_base] = acc.reshape(
+                p.no, tiles, bb_len, co_len
+            ).transpose(1, 2, 0, 3)
 
 
 def conv_forward(

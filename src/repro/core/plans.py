@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -132,132 +132,106 @@ def _blocks(extent: int, block: int) -> List[Tuple[int, int]]:
     return [(length, n) for length, n in ((block, full), (edge, 1)) if length and n]
 
 
-#: Operand bytes (W and D) of one stack of same-shape tile GEMMs that the
-#: mesh backends hand to :meth:`~repro.core.register_comm.MeshGemm.multiply`
-#: in one call.  Tile GEMMs are tiny (a few KiB), so per-call Python
-#: overhead dominates unless many share a call; 256 KiB stacks a few dozen
-#: to a few hundred tiles while the stack, its products and the strategy's
-#: temporaries stay around a megabyte, so peak memory does not grow with
-#: the layer.
+#: Buffer bytes of one chunk of the mesh backends' walk (see
+#: :class:`CompiledWalk`): its accumulator and one gathered operand.  Tile
+#: GEMMs are tiny, so per-call overhead dominates unless many tiles share a
+#: multiply; 256 KiB puts a few dozen to a few hundred tiles in a chunk
+#: while its buffers stay cache-sized, so peak memory does not grow with
+#: the layer (a tile over the budget makes a chunk alone).
 MESH_STACK_BYTES = 256 * 1024
 
 
-#: The shape and element strides of a block of a C-order flattened
-#: tensor: the block at offset ``i`` holds ``flat[i + sum(j * stride)]``.
-BlockGeometry = Tuple[Tuple[int, ...], Tuple[int, ...]]
+@dataclass(frozen=True)
+class WalkChunk:
+    """Whole output tiles of one shape that the walk updates together.
+
+    A tile is the output region one schedule window updates: a batch
+    block at one output row and column block, all output channels.
+    ``x_base`` and ``out_base`` hold, per tile, the flat offsets of its
+    first element (batch ``bb``, channel 0, row ``ro``, column ``co``) in
+    the C-order input and output tensors.
+    """
+
+    #: ``(bb_len, co_len)`` of every tile of the chunk.
+    shape: Tuple[int, int]
+    x_base: np.ndarray
+    out_base: np.ndarray
 
 
 @dataclass(frozen=True)
-class GemmStack:
-    """A run of consecutive same-shape GEMM updates, compiled to offsets.
+class CompiledWalk:
+    """A plan's GEMM updates, operand-major: what the mesh backends run.
 
-    Pair ``t`` is one :class:`ComputeSpec` update, in schedule order.  Its
-    operands are blocks of the C-order flattened tensors, each addressed
-    by the offset of its first element (``*_block`` gives the blocks'
-    geometry, shared by every pair of the stack):
-
-    * W: ``w_base[t]`` starts its (No x Ni-block) filter slice;
-    * D: ``x_base[t] + x_pattern`` starts, per input channel of the
-      Ni-block, the window's ``co_len``-long rows, one per image of the
-      batch block.
-
-    ``rounds`` is the scatter schedule, ``(pairs, out_base)`` per round in
-    order: ``pairs`` selects the round's pairs (a slice or an index array)
-    and ``out_base + out_pattern`` starts, per output channel, the
-    ``co_len``-long rows they add to, one per image.  A pair's round is one
-    more than the highest round of any earlier pair of the stack that
-    writes one of its output elements, so the targets of a round are
-    disjoint and every output element still receives its products in
-    schedule order.
+    ``operands`` lists the schedule's distinct filter operands ``(kr, kc,
+    ni0, ni_len)`` in the one order in which every output element receives
+    them; ``chunks`` splits the output into chunks of whole tiles of one
+    shape, each within :data:`MESH_STACK_BYTES`.  Per chunk and operand,
+    the windows of all the chunk's tiles meet the shared filter slice in
+    one multiply whose product is added into the chunk's accumulator, so
+    every output element receives the products of tile-by-tile updating,
+    in the same order.
     """
 
-    #: ``(bb_len, ni_len, co_len)`` of every window of the stack.
-    shape: Tuple[int, int, int]
-    w_base: np.ndarray
-    x_base: np.ndarray
-    rounds: Tuple[Tuple[Union[slice, np.ndarray], np.ndarray], ...]
-    x_pattern: np.ndarray
-    out_pattern: np.ndarray
-    w_block: BlockGeometry
-    x_block: BlockGeometry
-    out_block: BlockGeometry
+    operands: Tuple[Tuple[int, int, int, int], ...]
+    chunks: Tuple[WalkChunk, ...]
 
 
-def _as_slice(index: np.ndarray) -> Union[slice, np.ndarray]:
-    """``index`` as a slice when it is an arithmetic progression."""
-    if len(index) == 1:
-        return slice(int(index[0]), int(index[0]) + 1)
-    step = int(index[1] - index[0])
-    if (np.diff(index) == step).all():
-        return slice(int(index[0]), int(index[-1]) + 1, step)
-    return index
+def _compile_walk(plan: "ConvPlan") -> CompiledWalk:
+    """Check the schedule's common operand order and chunk its tiles.
 
-
-def _compile_walk(plan: "ConvPlan") -> Tuple[GemmStack, ...]:
-    """Partition the schedule's updates into stacks and compile each.
-
-    A stack is a run of consecutive updates of one window shape, cut where
-    its operands would pass :data:`MESH_STACK_BYTES` (an update larger
-    than that runs alone).
+    Raises :class:`PlanError` unless the updates' output regions tile the
+    output exactly (every element in one tile) and every tile receives the
+    same operands in the same order; the walk is exact only then.
     """
     p = plan.params
-    computes = [c for step in plan.compiled_schedule() for c in step.computes]
-    fields = np.array(
+    rows = np.array(
         [
-            (c.bb, c.ro, c.co, c.kr, c.kc, c.ni0,
-             c.bb_len, c.ni_len if c.ni_len >= 0 else p.ni, c.co_len)
-            for c in computes
+            (c.bb, c.ro, c.co, c.bb_len, c.co_len,
+             c.kr, c.kc, c.ni0, c.ni_len if c.ni_len >= 0 else p.ni)
+            for step in plan.compiled_schedule()
+            for c in step.computes
         ],
         dtype=np.intp,
     )
-    bb, ro, co, kr, kc, ni0 = fields[:, :6].T
-    shapes = fields[:, 6:]
-    w_base = (ni0 * p.kr + kr) * p.kc + kc
-    x_base = ((bb * p.ni + ni0) * p.ri + ro + kr) * p.ci + co + kc
-    out_base = (bb * p.no * p.ro + ro) * p.co + co
-    targets = fields[:, :3].tolist()
-    # The round that last wrote each output (batch, row, column), all
-    # channels at once; rounds are numbered across stacks, and ``floor``
-    # is the current stack's first.
-    last = np.full((p.b, p.ro, p.co), -1, dtype=np.intp)
-    floor = 0
-    layouts: Dict[Tuple[int, int, int], tuple] = {}
-    stacks = []
-    cuts = (np.flatnonzero((shapes[1:] != shapes[:-1]).any(axis=1)) + 1).tolist()
-    for start, stop in zip([0] + cuts, cuts + [len(computes)]):
-        shape = bb_len, ni_len, co_len = tuple(shapes[start].tolist())
-        pair_bytes = (p.no * ni_len + bb_len * ni_len * co_len) * DS
-        per_stack = max(1, MESH_STACK_BYTES // pair_bytes)
-        layout = layouts.get(shape)
-        if layout is None:
-            layout = layouts[shape] = (
-                np.arange(ni_len) * (p.ri * p.ci),
-                np.arange(p.no) * (p.ro * p.co),
-                ((p.no, ni_len), (p.ni * p.kr * p.kc, p.kr * p.kc)),
-                ((bb_len, co_len), (p.ni * p.ri * p.ci, 1)),
-                ((bb_len, co_len), (p.no * p.ro * p.co, 1)),
-            )
-        for first in range(start, stop, per_stack):
-            end = min(stop, first + per_stack)
-            rounds = []
-            for b0, r0, c0 in targets[first:end]:
-                cells = last[b0 : b0 + bb_len, r0, c0 : c0 + co_len]
-                rnd = max(int(cells.max()), floor - 1) + 1
-                cells[...] = rnd
-                rounds.append(rnd - floor)
-            count = max(rounds) + 1
-            floor += count
-            members = [np.flatnonzero(np.equal(rounds, r)) for r in range(count)]
-            stacks.append(
-                GemmStack(
+    tiles, first, tile_of = np.unique(
+        rows[:, :5], axis=0, return_index=True, return_inverse=True
+    )
+    keys, op_of = np.unique(rows[:, 5:], axis=0, return_inverse=True)
+    tile_of, op_of = tile_of.ravel(), op_of.ravel()
+    # Each tile's operands in schedule order, one row per tile.
+    received = op_of[np.argsort(tile_of, kind="stable")]
+    counts = np.bincount(tile_of)
+    if (counts != len(keys)).any() or (
+        received.reshape(len(tiles), -1) != received[: len(keys)]
+    ).any():
+        raise PlanError(
+            f"{plan.describe()}: its output tiles do not all receive the "
+            "filter operands in one common order"
+        )
+    cover = np.zeros((p.b, p.ro, p.co), dtype=np.intp)
+    for bb, ro, co, bb_len, co_len in tiles.tolist():
+        cover[bb : bb + bb_len, ro, co : co + co_len] += 1
+    if (cover != 1).any():
+        raise PlanError(f"{plan.describe()}: its output tiles overlap or leave gaps")
+    operands = tuple(map(tuple, keys[received[: len(keys)]].tolist()))
+    ni_max = int(keys[:, 3].max())
+    tiles = tiles[np.argsort(first)]
+    chunks = []
+    for shape in dict.fromkeys(map(tuple, tiles[:, 3:].tolist())):
+        group = tiles[(tiles[:, 3:] == shape).all(axis=1)]
+        bb_len, co_len = shape
+        tile_bytes = (p.no + ni_max) * bb_len * co_len * DS
+        per_chunk = max(1, MESH_STACK_BYTES // tile_bytes)
+        for part in np.array_split(group, -(-len(group) // per_chunk)):
+            bb, ro, co = part[:, :3].T
+            chunks.append(
+                WalkChunk(
                     shape,
-                    w_base[first:end],
-                    x_base[first:end],
-                    tuple((_as_slice(m), out_base[first + m]) for m in members),
-                    *layout,
+                    (bb * p.ni * p.ri + ro) * p.ci + co,
+                    (bb * p.no * p.ro + ro) * p.co + co,
                 )
             )
-    return tuple(stacks)
+    return CompiledWalk(operands, tuple(chunks))
 
 
 class ConvPlan(abc.ABC):
@@ -280,7 +254,7 @@ class ConvPlan(abc.ABC):
         register_blocking.check_feasible(spec)
         self._streams_cache: Optional[List[DMAStream]] = None
         self._schedule: Optional[Tuple[TileStep, ...]] = None
-        self._walk: Optional[Tuple[GemmStack, ...]] = None
+        self._walk: Optional[CompiledWalk] = None
 
     # -- schedule -------------------------------------------------------------
 
@@ -320,13 +294,14 @@ class ConvPlan(abc.ABC):
             self._schedule = tuple(self.tile_schedule())
         return self._schedule
 
-    def compiled_walk(self) -> Tuple[GemmStack, ...]:
+    def compiled_walk(self) -> CompiledWalk:
         """The schedule's updates as the mesh backends run them, cached.
 
-        Consecutive updates of one window shape form a :class:`GemmStack`
-        of up to :data:`MESH_STACK_BYTES` of operands, compiled once to flat
-        operand offsets and a scatter schedule; every engine of the plan
-        (the planner hands out one plan object per layer) shares it.
+        The distinct filter operands in their common order, and the output
+        cut into chunks of whole same-shape tiles of up to
+        :data:`MESH_STACK_BYTES` of buffers (:class:`CompiledWalk`),
+        compiled once; every engine of the plan (the planner hands out one
+        plan object per layer) shares it.
         """
         if self._walk is None:
             self._walk = _compile_walk(self)

@@ -23,20 +23,23 @@ Two execution modes share that schedule:
   multiplies them on each CPE (so the result is checked against plain
   ``W @ D``).
 * ``mode="session"`` is the validated fast path: the *first* multiply of
-  each (W shape, D shape) signature runs the full protocol simulation and
-  cross-checks candidate vectorized implementations against it — one
-  contiguous ``w @ d`` GEMM, one ``(No x kb) @ (kb x M)`` GEMM per step
-  of the schedule, and the per-step batched block GEMM over contiguous
-  block copies.  The first candidate that is *bit-identical* to the
-  simulation is certified for that signature; later multiplies of the
-  signature execute it directly, with the identical bus/CPE statistics
-  applied analytically.
+  each signature runs the full protocol simulation and cross-checks
+  candidate vectorized implementations against it — one contiguous
+  ``w @ d`` GEMM, one ``(No x kb) @ (kb x M)`` GEMM per step of the
+  schedule, and the per-step batched block GEMM over contiguous block
+  copies.  The first candidate that is *bit-identical* to the simulation
+  is certified for that signature; later multiplies of the signature
+  execute it directly, with the identical bus/CPE statistics applied
+  analytically.
 
-:meth:`MeshGemm.multiply` also takes a *stack* of same-signature pairs,
-``(T, No, Ni)`` and ``(T, Ni, M)``: each pair is one Fig. 3 schedule, run
-in stack order.  On the fast path the certified strategy then runs once
-for the whole stack and the statistics of all ``T`` schedules are posted
-in one bulk update, which is what makes many tiny tile GEMMs cheap.
+:meth:`MeshGemm.multiply` also takes a *stack* of ``T`` operands
+``(T, Ni, M)`` that share one ``W``, the walk's layout: one filter slice
+against many tile windows.  Each pair is one Fig. 3 schedule.  On the
+fast path the certified strategy runs once over all ``T * M`` columns,
+side by side, and the statistics of all ``T`` schedules are posted in one
+bulk update, which is what makes many tiny tile GEMMs cheap.  The
+signature is the operand shapes with ``T`` included, so a strategy is
+certified at the width it runs at.
 """
 
 from __future__ import annotations
@@ -77,22 +80,24 @@ class MeshGemm:
     signature and runs subsequent same-shape multiplies on the vectorized
     fast path (identical results, identical statistics, no per-tile LDM
     staging or Python bus loops).  Either mode multiplies a stack of
-    same-signature pairs in one call, pair by pair in stack order; the
-    fast path runs one certified strategy over the whole stack and charges
-    the stack's statistics once.
+    operands that share W in one call, pair by pair in stack order; the
+    fast path runs one certified strategy over all the stack's columns and
+    charges the stack's statistics once.
     """
 
     MODES = ("full", "session")
 
-    #: Fast-path candidates, fastest first; each multiplies a whole stack.
-    #: "gemm" is one contiguous ``w @ d`` per pair (bit-identical to the
-    #: schedule whenever BLAS reduces the inner dimension in sequential
-    #: order, e.g. single-block reductions); "slab" is one
-    #: ``(No x kb) @ (kb x M)`` GEMM per schedule step, accumulated k-major
-    #: like the CPEs do, and is exact by construction for depth-1 blocks
-    #: (kb = 1: one product per element and step); "blocked" replays the
-    #: schedule's per-CPE block products on contiguous block copies and is
-    #: the general fallback.
+    #: Fast-path candidates, fastest first; each multiplies a whole stack
+    #: that shares W.  "gemm" is one contiguous ``w @ d`` over all the
+    #: stack's columns (bit-identical to the schedule whenever BLAS reduces
+    #: the inner dimension in sequential order, e.g. single-block
+    #: reductions); "slab" is one ``(No x kb) @ (kb x T*M)`` GEMM per
+    #: schedule step over all the columns, accumulated k-major like the
+    #: CPEs do, and is exact by construction for depth-1 blocks (kb = 1:
+    #: one product per element and step); "blocked" replays each pair's
+    #: per-CPE block products on contiguous block copies and is the
+    #: general fallback (a one-row or one-column CPE block sends BLAS down
+    #: another path than a wide slab does, so only "blocked" matches it).
     STRATEGIES = ("gemm", "slab", "blocked")
 
     def __init__(
@@ -114,14 +119,14 @@ class MeshGemm:
         )
         self.spec = self.mesh.spec
         self.mode = mode
-        #: signature -> certified fast-path strategy name.
-        self._verified: Dict[Tuple[Tuple[int, int], Tuple[int, int]], str] = {}
+        #: (W shape, D stack shape) -> certified fast-path strategy name.
+        self._verified: Dict[Tuple[Tuple[int, int], Tuple[int, int, int]], str] = {}
         #: Lazily created scratch mesh for certification probes.
         self._probe: Optional["MeshGemm"] = None
 
     @property
     def verified_signatures(self) -> int:
-        """How many (W shape, D shape) signatures the session has verified."""
+        """How many (W shape, D stack shape) signatures the session has verified."""
         return len(self._verified)
 
     def multiply(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -131,108 +136,118 @@ class MeshGemm:
         by the mesh size.  Returns the (No x M) product assembled from the
         per-CPE accumulators.
 
-        A stack of ``T`` pairs, ``w`` (T x No x Ni) and ``d`` (T x Ni x M),
+        A stack of ``T`` operands ``d`` (T x Ni x M) that share ``w``
         returns the (T x No x M) stack of products, each bit-identical to
         a single multiply of its pair, with the statistics of ``T`` single
-        multiplies; the pairs run in stack order.
+        multiplies.  Full mode runs the pairs' schedules in stack order;
+        session mode runs its certified strategy once over all ``T * M``
+        columns side by side and returns the products as a view of an
+        (No x T x M) array.
         """
-        if w.ndim != d.ndim or w.ndim not in (2, 3):
+        if w.ndim != 2 or d.ndim not in (2, 3):
             raise PlanError(
-                "mesh GEMM operands must both be 2-D matrices or both be "
-                "3-D stacks of matrices"
+                "mesh GEMM takes a 2-D W and a 2-D operand or a 3-D stack "
+                "of operands that share it"
             )
-        if w.shape[-1] != d.shape[-2] or w.shape[:-2] != d.shape[:-2]:
-            raise PlanError(
-                f"inner dimensions or stack sizes disagree: {w.shape} @ {d.shape}"
-            )
-        single = w.ndim == 2
+        if w.shape[1] != d.shape[-2]:
+            raise PlanError(f"inner dimensions disagree: {w.shape} @ {d.shape}")
+        single = d.ndim == 2
         w = np.asarray(w, dtype=np.float64)
         d = np.asarray(d, dtype=np.float64)
         if single:
-            w, d = w[None], d[None]
-        if len(w) == 0:
+            d = d[None]
+        if len(d) == 0:
             raise PlanError("mesh GEMM stack is empty")
         n = self.mesh.size
-        for matrix in (w, d):
-            rows, cols = matrix.shape[1:]
+        for rows, cols in (w.shape, d.shape[1:]):
             if rows % n != 0 or cols % n != 0:
                 raise PlanError(
                     f"matrix {rows}x{cols} not divisible into {n}x{n} blocks"
                 )
         if self.mode != "session":
-            result = np.stack([self._multiply_mesh(wt, dt) for wt, dt in zip(w, d)])
+            result = np.stack([self._multiply_mesh(w, dt) for dt in d])
         else:
             result = self._multiply_session(w, d)
         return result[0] if single else result
 
     def _multiply_session(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Session mode for a stack: certify on its first pair if needed."""
-        signature = (w.shape[1:], d.shape[1:])
+        """Session mode for a stack: certify on its first pair if needed.
+
+        The signature is the operand shapes, stack size included: a
+        strategy is certified at the width it runs at.
+        """
+        signature = (w.shape, d.shape)
         strategy = self._verified.get(signature)
         if strategy is not None:
             result = self._fast_multiply(w, d, strategy)
-            self._account_fast_path(w, d)
+            self._account_fast_path(w, d, len(d))
             return result
-        verified = self._multiply_mesh(w[0], d[0])
-        strategy = self._certify(signature, w[0], d[0], verified)
+        strategy, result = self._certify(w, d)
         self._verified[signature] = strategy
-        if len(w) == 1:
-            return verified[None]
-        rest = self._fast_multiply(w[1:], d[1:], strategy)
-        self._account_fast_path(w[1:], d[1:])
-        return np.concatenate([verified[None], rest])
+        self._account_fast_path(w, d, len(d) - 1)
+        return result
 
-    def _certify(
-        self,
-        signature: Tuple[Tuple[int, int], Tuple[int, int]],
-        w: np.ndarray,
-        d: np.ndarray,
-        verified: np.ndarray,
-    ) -> str:
+    def _certify(self, w: np.ndarray, d: np.ndarray) -> Tuple[str, np.ndarray]:
         """Pick the fastest strategy that is bit-identical to the protocol.
 
-        Matching on the actual operands alone is not sufficient: sparse
-        tiles (e.g. zero-padded borders in backward passes) let a strategy
-        with a *different* reduction order agree by coincidence.  Each
-        candidate must therefore also reproduce the full simulation on a
-        dense synthetic operand pair of the same signature, run on a
-        scratch mesh so the probe leaves this session's statistics alone.
+        The stack's first pair runs the full protocol on this session's
+        mesh; its product is the one returned for that pair.  Each
+        candidate runs on the whole stack, as it will from now on, and must
+        reproduce that product.  Matching on the actual operands alone is
+        not sufficient: sparse tiles (e.g. zero-padded borders in backward
+        passes) let a strategy with a *different* reduction order agree by
+        coincidence.  Each candidate must therefore also reproduce the full
+        simulation of a dense synthetic pair, run on a scratch mesh so the
+        probe leaves this session's statistics alone.  The pair is both the
+        first and the last of a synthetic stack of the same signature, so
+        one simulation checks the columns at both ends of the stack's
+        width, where BLAS may take edge paths.  Returns the strategy and
+        the stack's products.
         """
-        probe_rng = np.random.default_rng(
-            [0x5EED, w.shape[0], w.shape[1], d.shape[1]]
-        )
+        verified = self._multiply_mesh(w, d[0])
+        probe_rng = np.random.default_rng([0x5EED, *w.shape, *d.shape])
         pw = probe_rng.standard_normal(w.shape)
         pd = probe_rng.standard_normal(d.shape)
+        pd[-1] = pd[0]
         if self._probe is None:
             self._probe = MeshGemm(spec=self.spec, mode="full")
-        probe_full = self._probe._multiply_mesh(pw, pd)
+        probe_full = self._probe._multiply_mesh(pw, pd[0])
         for candidate in self.STRATEGIES:
-            if np.array_equal(
-                probe_full, self._fast_multiply(pw[None], pd[None], candidate)[0]
-            ) and np.array_equal(
-                verified, self._fast_multiply(w[None], d[None], candidate)[0]
+            probed = self._fast_multiply(pw, pd, candidate)
+            if not (
+                np.array_equal(probed[0], probe_full)
+                and np.array_equal(probed[-1], probe_full)
             ):
-                return candidate
+                continue
+            result = self._fast_multiply(w, d, candidate)
+            if np.array_equal(result[0], verified):
+                result[0] = verified
+                return candidate, result
         raise SimulationError(
             f"no fast-path strategy reproduces the bus-protocol "
-            f"simulation bit-for-bit for signature {signature}"
+            f"simulation bit-for-bit for signature {(w.shape, d.shape)}"
         )
 
     def _fast_multiply(self, w: np.ndarray, d: np.ndarray, strategy: str) -> np.ndarray:
         """Execute one certified (or candidate) strategy on a stack.
 
-        ``w`` is (T x No x Ni) and ``d`` is (T x Ni x M).  Operands are
-        normalized to contiguous layout first: the full schedule stages
-        contiguous block copies into LDM, and BLAS kernels pick different
-        (bitwise-diverging) code paths for strided views.
+        ``w`` is (No x Ni) and ``d`` is (T x Ni x M); the products come
+        back as a (T x No x M) view of an (No x T x M) array.  Operands are
+        normalized to contiguous layout first, the stack's columns side by
+        side: the full schedule stages contiguous block copies into LDM,
+        and BLAS kernels pick different (bitwise-diverging) code paths for
+        strided views.
         """
+        t, ni, m = d.shape
         w = np.ascontiguousarray(w)
-        d = np.ascontiguousarray(d)
+        columns = np.ascontiguousarray(d.transpose(1, 0, 2)).reshape(ni, t * m)
         if strategy == "gemm":
-            return w @ d
-        if strategy == "slab":
-            return self._slab_gemm(w, d)
-        return self._block_gemm(w, d)
+            product = w @ columns
+        elif strategy == "slab":
+            product = self._slab_gemm(w, columns)
+        else:
+            product = self._block_gemm(w, columns, t)
+        return product.reshape(-1, t, m).transpose(1, 0, 2)
 
     # -- full protocol simulation ------------------------------------------
 
@@ -286,37 +301,49 @@ class MeshGemm:
     # -- vectorized fast path ----------------------------------------------
 
     def _slab_gemm(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """The schedule's steps as whole-stack slab GEMMs.
+        """The schedule's steps as slab GEMMs over all the stack's columns.
 
         Step ``k`` of Fig. 3 adds ``W[i, k] @ D[k, j]`` to every CPE's
         accumulator; over the whole output that is the slab product
-        ``W[:, k] @ D[k, :]``, (No x kb) @ (kb x M), added k-major into a
-        zeroed accumulator exactly as the CPEs add their blocks.  With
-        depth-1 blocks (kb = 1) each step is one product per element, so
-        the broadcast multiply is bit-identical to every block GEMM; deeper
-        slabs match when BLAS reduces kb terms the same way for both
-        shapes, which certification checks.
+        ``W[:, k] @ D[k, :]``, (No x kb) @ (kb x columns), added k-major
+        into a zeroed accumulator exactly as the CPEs add their blocks.
+        With depth-1 blocks (kb = 1) each step is one exact product per
+        element, so it is bit-identical to every block GEMM; BLAS computes
+        it as a depth-2 product whose second term is 0 x 0, which adds
+        nothing and runs faster than a broadcast multiply.  Deeper slabs
+        match when BLAS reduces kb terms the same way for both shapes,
+        which certification checks.
         """
         n = self.mesh.size
-        kb = w.shape[2] // n
-        acc = np.zeros((w.shape[0], w.shape[1], d.shape[2]))
+        no, ni = w.shape
+        kb = ni // n
+        if kb == 1:
+            w_steps = np.zeros((n, no, 2))
+            w_steps[:, :, 0] = w.T
+            # D's rows and one zero row after them: step k pairs row k
+            # with the zero row, a (2 x columns) view.
+            rows = np.empty((n + 1, d.shape[1]))
+            rows[:n] = d
+            rows[n] = 0.0
+            d_steps = [rows[k : n + 1 : n - k] for k in range(n)]
+        else:
+            w_steps = w.reshape(no, n, kb).transpose(1, 0, 2)
+            d_steps = d.reshape(n, kb, -1)
+        acc = np.zeros((no, d.shape[1]))
         step = np.empty_like(acc)
         for k in range(n):
-            ks = slice(k * kb, (k + 1) * kb)
-            if kb == 1:
-                np.multiply(w[:, :, ks], d[:, ks, :], out=step)
-            else:
-                np.matmul(w[:, :, ks], d[:, ks, :], out=step)
+            np.matmul(w_steps[k], d_steps[k], out=step)
             acc += step
         return acc
 
-    def _block_gemm(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    def _block_gemm(self, w: np.ndarray, d: np.ndarray, t: int) -> np.ndarray:
         """All per-CPE block products of a stack's schedules, as batched GEMMs.
 
-        Step ``k`` of Fig. 3 multiplies, on every CPE (i, j), the same
-        (br x kb) @ (kb x bc) block pair the broadcasts delivered; one
-        batched ``matmul`` per step performs those products for every pair
-        of the stack with the same operand shapes and the same k-major
+        ``d`` holds the ``t`` pairs' columns side by side.  Step ``k`` of
+        Fig. 3 multiplies, on every CPE (i, j), the same (br x kb) @
+        (kb x bc) block pair the broadcasts delivered; one batched
+        ``matmul`` per step performs those products for every pair of the
+        stack with the same operand shapes and the same k-major
         accumulation order, so the result is bit-identical to the
         simulated schedule.  The W and D block grids are staged as
         contiguous copies first, as the protocol stages them into LDM: a
@@ -324,37 +351,38 @@ class MeshGemm:
         kernel than its contiguous copy does.
         """
         n = self.mesh.size
-        t, no, ni = w.shape
-        m = d.shape[2]
+        no, ni = w.shape
+        m = d.shape[1] // t
         br, kb, bc = no // n, ni // n, m // n
-        # (t, k, i, br, kb): W block owned by CPE(i, k).
-        w_blocks = np.ascontiguousarray(
-            w.reshape(t, n, br, n, kb).transpose(0, 3, 1, 2, 4)
-        )
-        # (t, k, j, kb, bc): D block owned by CPE(k, j).
+        # (k, i, br, kb): W block owned by CPE(i, k), shared by every pair.
+        w_blocks = np.ascontiguousarray(w.reshape(n, br, n, kb).transpose(2, 0, 1, 3))
+        # (t, k, j, kb, bc): pair t's D block owned by CPE(k, j).
         d_blocks = np.ascontiguousarray(
-            d.reshape(t, n, kb, n, bc).transpose(0, 1, 3, 2, 4)
+            d.reshape(n, kb, t, n, bc).transpose(2, 0, 3, 1, 4)
         )
         acc = np.zeros((t, n, n, br, bc))
         step = np.empty_like(acc)
         for k in range(n):
-            np.matmul(w_blocks[:, k, :, None], d_blocks[:, k, None], out=step)
+            np.matmul(w_blocks[k, :, None], d_blocks[:, k, None], out=step)
             acc += step
-        return acc.transpose(0, 1, 3, 2, 4).reshape(t, no, m)
+        # (i, br, t, j, bc) -> (No, t * M): the pairs' columns side by side.
+        return acc.transpose(1, 3, 0, 2, 4).reshape(no, t * m)
 
-    def _account_fast_path(self, w: np.ndarray, d: np.ndarray) -> None:
-        """Apply the statistics the full schedules of a stack would record.
+    def _account_fast_path(self, w: np.ndarray, d: np.ndarray, t: int) -> None:
+        """Apply the statistics the full schedules of ``t`` pairs would record.
 
         Per multiply the Fig. 3 schedule performs, on each of the ``n``
         steps, one W-block broadcast per row bus and one D-block broadcast
         per column bus; every CPE sends its W block once (at step = its
         column) and its D block once (at step = its row), receives
         ``2 * (n - 1)`` foreign blocks, and accumulates ``n`` block
-        products.  A stack of ``T`` multiplies charges ``T`` times that in
-        one update per bus and per CPE.
+        products.  ``t`` multiplies charge ``t`` times that in one update
+        per bus and per CPE.
         """
+        if t == 0:
+            return
         n = self.mesh.size
-        t, no, ni = w.shape
+        no, ni = w.shape
         m = d.shape[2]
         br, kb, bc = no // n, ni // n, m // n
         w_block_bytes = br * kb * w.itemsize
@@ -363,13 +391,16 @@ class MeshGemm:
             bus.account_bulk(w_block_bytes, receivers=n - 1, operations=n * t)
         for bus in self.mesh.col_buses:
             bus.account_bulk(d_block_bytes, receivers=n - 1, operations=n * t)
-        # Routed through count_fma (not a bare stats bump) so the telemetry
-        # flop counter agrees bit-for-bit with the full protocol simulation.
-        fmas_per_cpe = br * bc * kb * n * t
+        # Every CPE does the same work, so the telemetry flop counter gets
+        # one update for all of them: the same integer total as the
+        # protocol's per-block ``count_fma`` calls.
+        flops = 2 * br * bc * kb * n * t
         for cpe in self.mesh:
-            cpe.stats.bus_puts += 2 * t
-            cpe.stats.bus_gets += 2 * (n - 1) * t
-            cpe.count_fma(fmas_per_cpe)
+            stats = cpe.stats
+            stats.bus_puts += 2 * t
+            stats.bus_gets += 2 * (n - 1) * t
+            stats.flops += flops
+        self.mesh.telemetry.counters.add("cpe.flops", flops * n * n)
 
     # -- statistics ---------------------------------------------------------
 

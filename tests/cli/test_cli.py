@@ -175,6 +175,14 @@ def _chaos_fleet(tmp_path):
     return path
 
 
+def _chaos_serve(tmp_path):
+    """A chaos-serve report: the committed bench record under the report's
+    own tag, which holds no breaker bar (a smoke need not trip it)."""
+    record = _committed_record("BENCH_chaos_serve.json")
+    record["schema"] = schema.CHAOS_SERVE_SCHEMA
+    return _write(tmp_path, "chaos.json", record)
+
+
 def _oracle(tmp_path):
     from repro.core.params import ConvParams
     from repro.telemetry import oracle_report
@@ -188,7 +196,8 @@ DOCUMENTS = {
     schema.ALGOS_SCHEMA: _committed("BENCH_algos.json"),
     schema.AUTOTUNE_SCHEMA: _committed("BENCH_autotune.json"),
     schema.FLEET_SCHEMA: _committed("BENCH_fleet.json"),
-    schema.CHAOS_SERVE_SCHEMA: _committed("BENCH_chaos_serve.json"),
+    schema.CHAOS_SERVE_SCHEMA: _chaos_serve,
+    schema.CHAOS_SERVE_BENCH_SCHEMA: _committed("BENCH_chaos_serve.json"),
     schema.CHAOS_FLEET_SCHEMA: _chaos_fleet,
     schema.DATAPARALLEL_SCHEMA: _committed("BENCH_dataparallel.json"),
     schema.FASTPATH_SCHEMA: _committed("BENCH_fastpath.json"),
@@ -337,6 +346,27 @@ class TestAlgosRecord:
     def test_each_bar_gives_one_line(self, path, value, field):
         violation = _one_violation("BENCH_algos.json", path, value)
         assert violation.startswith(f"{field}:")
+
+
+class TestChaosServeRecord:
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("breaker_opened",), 0, "breaker_opened"),
+            (("breaker_transitions",), ["open->half-open", "half-open->closed"],
+             "breaker_transitions"),
+        ],
+    )
+    def test_each_bar_gives_one_line(self, path, value, field):
+        violation = _one_violation("BENCH_chaos_serve.json", path, value)
+        assert violation.startswith(f"{field}:")
+
+    def test_report_without_breaker_opens_is_valid(self):
+        record = _committed_record("BENCH_chaos_serve.json")
+        record.update(
+            schema=schema.CHAOS_SERVE_SCHEMA, breaker_opened=0, breaker_transitions=[]
+        )
+        assert schema.validate(record) == []
 
 
 class TestTelemetryRecord:

@@ -122,7 +122,7 @@ def _mesh_counters(telemetry):
 
 
 class TestStackedMultiply:
-    """``multiply`` on a (T, No, Ni) @ (T, Ni, M) stack == T single multiplies."""
+    """``multiply`` of a shared W with a (T, Ni, M) stack == T single multiplies."""
 
     @pytest.mark.parametrize("spec", [DEFAULT_SPEC, SMALL], ids=["8x8", "4x4"])
     @given(
@@ -134,21 +134,22 @@ class TestStackedMultiply:
     )
     @example(t=70, a=1, b=4, c=2, seed=0)  # one-row blocks, deep reduction
     @example(t=33, a=2, b=1, c=3, seed=1)  # depth-1 blocks
+    @example(t=9, a=2, b=2, c=1, seed=2)  # one-column blocks
     @settings(max_examples=5, deadline=None)
     def test_stack_equals_single_multiplies(self, spec, t, a, b, c, seed):
         n = spec.mesh_size
         rng = np.random.default_rng(seed)
-        w = rng.standard_normal((t, n * a, n * b))
+        w = rng.standard_normal((n * a, n * b))
         d = rng.standard_normal((t, n * b, n * c))
         # Reference: T single multiplies, each the full bus protocol.
         full_tel = Telemetry()
         full = MeshGemm(spec=spec, mode="full", telemetry=full_tel)
-        reference = np.stack([full.multiply(wt, dt) for wt, dt in zip(w, d)])
+        reference = np.stack([full.multiply(w, dt) for dt in d])
         singles = {"full": (reference, _mesh_stats(full), _mesh_counters(full_tel))}
         tel = Telemetry()
         session = MeshGemm(spec=spec, mode="session", telemetry=tel)
         singles["session"] = (
-            np.stack([session.multiply(wt, dt) for wt, dt in zip(w, d)]),
+            np.stack([session.multiply(w, dt) for dt in d]),
             _mesh_stats(session),
             _mesh_counters(tel),
         )
@@ -162,29 +163,35 @@ class TestStackedMultiply:
             assert _mesh_stats(stacked) == single_stats, mode
             assert _mesh_counters(tel) == single_counters, mode
             assert single_counters["cpe.flops"] == 2 * t * n**3 * a * b * c
+            # The certified (steady) path of the same stack.
+            assert np.array_equal(stacked.multiply(w, d), reference), mode
 
     def test_stack_certifies_on_its_first_pair(self, rng):
         gemm = MeshGemm(spec=SMALL, mode="session")
-        w = rng.standard_normal((5, 8, 12))
+        w = rng.standard_normal((8, 12))
         d = rng.standard_normal((5, 12, 16))
         first = gemm.multiply(w, d)  # certifies on the first pair
         assert gemm.verified_signatures == 1
         assert np.array_equal(gemm.multiply(w, d), first)
         assert gemm.verified_signatures == 1
+        # A stack of another size is another width: certified on its own.
+        assert np.array_equal(gemm.multiply(w, d[:3]), first[:3])
+        assert gemm.verified_signatures == 2
 
     def test_two_d_operands_are_a_stack_of_one(self, rng):
         gemm = MeshGemm(spec=SMALL, mode="session")
         w, d = _pair(rng, (8, 12), (12, 16))
         single = gemm.multiply(w, d)
         assert single.shape == (8, 16)
-        assert np.array_equal(gemm.multiply(w[None], d[None])[0], single)
+        assert np.array_equal(gemm.multiply(w, d[None])[0], single)
 
     @pytest.mark.parametrize(
         "shape_w, shape_d",
-        [((3, 8, 8), (2, 8, 8)), ((0, 8, 8), (0, 8, 8)), ((2, 8, 8), (8, 8))],
+        [((3, 8, 8), (2, 8, 8)), ((8, 8), (0, 8, 8)), ((2, 8, 8), (8, 8))],
         ids=["stack-sizes-differ", "empty-stack", "mixed-ndim"],
     )
     def test_bad_stacks_rejected(self, shape_w, shape_d):
+        # W is shared by the whole stack, so a stack of W is rejected too.
         gemm = MeshGemm(spec=SMALL, mode="session")
         with pytest.raises(PlanError):
             gemm.multiply(np.ones(shape_w), np.ones(shape_d))
@@ -207,18 +214,22 @@ class TestCertification:
 
     @pytest.mark.parametrize("size", [8, 4, 2])
     def test_every_divisible_signature_certifies(self, size):
+        """Every signature certifies as a stack of three pairs sharing W,
+        the layout the walk runs, and the stack equals the protocol."""
         spec = DEFAULT_SPEC if size == 8 else DEFAULT_SPEC.shrunk(size)
         gemm = MeshGemm(spec=spec, mode="session")
+        full = MeshGemm(spec=spec, mode="full")
         rng = np.random.default_rng(size)
         for no, ni, m in self.GRID:
-            w, d = _pair(rng, (no, ni), (ni, m))
+            w, d = _pair(rng, (no, ni), (3, ni, m))
             try:
-                gemm.multiply(w, d)
+                out = gemm.multiply(w, d)
             except LDMOverflowError:
                 continue  # the blocks do not fit one CPE's LDM
             except SimulationError as err:
                 pytest.fail(f"{size}x{size} mesh, signature {(no, ni, m)}: {err}")
-            assert gemm._verified[((no, ni), (ni, m))] in MeshGemm.STRATEGIES
+            assert gemm._verified[((no, ni), (3, ni, m))] in MeshGemm.STRATEGIES
+            assert np.array_equal(out[1], full.multiply(w, d[1]))
 
 
 #: Mesh-divisible layer shapes for the engine-level parity property.
@@ -322,14 +333,14 @@ class TestCounterParity:
             assert mesh_counters.get(name) == fast_counters.get(name), name
 
 
-def _stack_sizes(engine):
-    """Record the stack size of every multiply ``engine`` issues."""
+def _call_sizes(engine):
+    """Record the stack size (tiles) of every multiply ``engine`` issues."""
     gemm = engine._mesh_gemm
     real = gemm.multiply
     sizes = []
 
     def recorded(w, d):
-        sizes.append(len(w))
+        sizes.append(len(d))
         return real(w, d)
 
     gemm.multiply = recorded
@@ -354,30 +365,58 @@ def _tile_by_tile(plan, x, w, mesh_spec=DEFAULT_SPEC):
     return out
 
 
-def _greedy_stacks(plan):
-    """Each update's stack under the greedy queue the mesh backends filled
-    before the walk was compiled: a new stack at every window-shape change
-    and wherever the operands would pass the byte budget."""
+def _operand(c, p):
+    return (c.kr, c.kc, c.ni0, c.ni_len if c.ni_len >= 0 else p.ni)
+
+
+def _tiles(plan):
+    """The schedule's output tiles, ``(bb, ro, co, bb_len, co_len)``, in
+    the order of their first update."""
+    return list(
+        dict.fromkeys(
+            (c.bb, c.ro, c.co, c.bb_len, c.co_len)
+            for step in plan.compiled_schedule()
+            for c in step.computes
+        )
+    )
+
+
+def _receives_in_walk_order(plan):
+    """Replay the schedule update by update: every output element must
+    receive each of the walk's operands once, in the walk's order."""
     p = plan.params
-    stack_of, shape, used = [], None, 0
+    walk = plan.compiled_walk()
+    position = {key: i for i, key in enumerate(walk.operands)}
+    received = np.zeros((p.b, p.ro, p.co), dtype=int)
     for step in plan.compiled_schedule():
         for c in step.computes:
-            ni_len = c.ni_len if c.ni_len >= 0 else p.ni
-            window = (c.bb_len, ni_len, c.co_len)
-            pair = (p.no * ni_len + c.bb_len * ni_len * c.co_len) * 8
-            if not stack_of or window != shape or used + pair > MESH_STACK_BYTES:
-                shape, used = window, 0
-                stack_of.append(stack_of[-1] + 1 if stack_of else 0)
-            else:
-                stack_of.append(stack_of[-1])
-            used += pair
-    return stack_of
+            cells = received[c.bb : c.bb + c.bb_len, c.ro, c.co : c.co + c.co_len]
+            if (cells != position[_operand(c, p)]).any():
+                return False
+            cells += 1
+    return bool((received == len(walk.operands)).all())
 
 
-def _greedy_partition(plan):
-    """Stack sizes of :func:`_greedy_stacks`, in order."""
-    stack_of = _greedy_stacks(plan)
-    return [stack_of.count(i) for i in range(stack_of[-1] + 1)]
+def _expected_calls(plan):
+    """Each multiply's stack size in one run, derived from the schedule:
+    the tiles of each shape in balanced chunks of at most the budget's
+    count (accumulator and one operand per column), one multiply per chunk
+    and filter operand."""
+    p = plan.params
+    tiles = _tiles(plan)
+    operands = {
+        _operand(c, p) for step in plan.compiled_schedule() for c in step.computes
+    }
+    ni_max = max(key[3] for key in operands)
+    sizes = []
+    for shape in dict.fromkeys(t[3:] for t in tiles):
+        count = sum(t[3:] == shape for t in tiles)
+        column_bytes = (p.no + ni_max) * 8
+        per_chunk = max(1, MESH_STACK_BYTES // (column_bytes * shape[0] * shape[1]))
+        chunks = -(-count // per_chunk)
+        for i in range(chunks):
+            sizes += [count // chunks + (i < count % chunks)] * len(operands)
+    return sizes
 
 
 def _epilogue(out, bias, activation, pool):
@@ -420,35 +459,54 @@ def _small_plans(draw):
 
 
 class TestStackedEngineRuns:
-    """Engine runs that stack tile GEMMs stay bit-identical to ``mesh``."""
+    """Engine runs of the operand-major walk stay bit-identical to ``mesh``."""
 
     #: Edge blocks on batch (24 % 16) and columns (10 % 4), and a blocked
-    #: Ni (16 + 8): the schedule alternates between eight tile shapes.
+    #: Ni (16 + 8): four tile shapes, eight window shapes.
     MIXED = ImageSizeAwarePlan(
         ConvParams(ni=24, no=8, ri=3, ci=12, kr=3, kc=3, b=24),
         blocking=ImageBlocking(b_b=16, b_co=4, b_ni=16),
     )
 
     def _runs(self, plan, x, w, run_kwargs=None, **engine_kwargs):
+        """Each backend's engine, and its first (certifying) and second
+        (steady) run: output, report, the run's counters, call sizes."""
         results = {}
         for backend in ("mesh", "mesh-fast"):
             telemetry = Telemetry()
             engine = ConvolutionEngine(
                 plan, backend=backend, telemetry=telemetry, **engine_kwargs
             )
-            sizes = _stack_sizes(engine)
-            y, report = engine.run(x, w, **(run_kwargs or {}))
-            results[backend] = (y, report, telemetry.counters.as_dict(), sizes)
+            sizes = _call_sizes(engine)
+            runs = []
+            for _ in range(2):
+                before = telemetry.counters.as_dict()
+                sizes.clear()
+                y, report = engine.run(x, w, **(run_kwargs or {}))
+                after = telemetry.counters.as_dict()
+                counters = {k: v - before.get(k, 0) for k, v in after.items()}
+                runs.append((y, report, counters, list(sizes)))
+            results[backend] = (engine, runs)
         return results
 
     def _assert_parity(self, results):
-        y_mesh, report_mesh, counters_mesh, sizes_mesh = results["mesh"]
-        y_fast, report_fast, counters_fast, sizes_fast = results["mesh-fast"]
-        assert np.array_equal(y_mesh, y_fast)
-        assert report_mesh == report_fast
-        assert counters_mesh == counters_fast
-        assert counters_fast["cpe.flops"] > 0
-        assert sizes_mesh == sizes_fast
+        (_, mesh_runs), (_, fast_runs) = results["mesh"], results["mesh-fast"]
+        y, report, counters, sizes = mesh_runs[0]
+        for y_run, report_run, _, sizes_run in mesh_runs + fast_runs:
+            assert np.array_equal(y_run, y)
+            assert report_run == report
+            assert sizes_run == sizes
+        # Run by run (high-water gauges grow on the first run only), both
+        # backends post the same counters, and every run a whole run's flops.
+        for (*_, mesh_counters, _), (*_, fast_counters, _) in zip(mesh_runs, fast_runs):
+            assert mesh_counters == fast_counters
+            assert fast_counters["cpe.flops"] == counters["cpe.flops"] > 0
+
+    def _output(self, results):
+        return results["mesh"][1][0][0]
+
+    def _sizes(self, results):
+        return results["mesh-fast"][1][0][3]
 
     def test_mixed_signatures(self, rng):
         p = self.MIXED.params
@@ -462,11 +520,11 @@ class TestStackedEngineRuns:
         w = rng.standard_normal(p.filter_shape)
         results = self._runs(self.MIXED, x, w)
         self._assert_parity(results)
-        sizes = results["mesh-fast"][3]
-        assert sizes == _greedy_partition(self.MIXED)
+        sizes = self._sizes(results)
+        assert sizes == _expected_calls(self.MIXED)
         assert max(sizes) > 1 and len(sizes) > len(shapes)
         # Products land on their output windows in schedule order.
-        assert np.array_equal(results["mesh"][0], _tile_by_tile(self.MIXED, x, w))
+        assert np.array_equal(self._output(results), _tile_by_tile(self.MIXED, x, w))
 
     @given(
         plan=_small_plans(),
@@ -482,8 +540,9 @@ class TestStackedEngineRuns:
     ):
         """Both families, edge blocks, blocked Ni, the fused epilogue and a
         mesh shrunk around a fenced CPE: ``mesh`` and ``mesh-fast`` equal
-        the tile-by-tile oracle bit for bit, post the same counters, and
-        stack the updates exactly as the greedy queue did."""
+        the tile-by-tile oracle bit for bit, on the certifying run and the
+        steady one, post the same counters, and make one multiply per
+        chunk and operand."""
         p = plan.params
         assume(sum(len(step.computes) for step in plan.compiled_schedule()) <= 150)
         rng = np.random.default_rng(seed)
@@ -498,37 +557,131 @@ class TestStackedEngineRuns:
             plan, x, w, run_kwargs, fault_plan=faults, fused_pool=pool
         )
         self._assert_parity(results)
-        assert results["mesh-fast"][3] == _greedy_partition(plan)
+        assert self._sizes(results) == _expected_calls(plan)
         # One fenced CPE leaves a 2x2 submesh of the 4x4 mesh.
         oracle = _tile_by_tile(plan, x, w, SMALL.shrunk(2 if fenced else 4))
         expected = _epilogue(oracle, run_kwargs["bias"], run_kwargs["activation"], pool)
-        assert np.array_equal(results["mesh"][0], expected)
+        assert np.array_equal(self._output(results), expected)
+
+    @given(plan=_small_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_element_receives_operands_in_walk_order(self, plan):
+        """The walk's operand order is the order every output element
+        receives its operands in, and its chunks hold whole tiles of one
+        shape within the byte budget."""
+        assert _receives_in_walk_order(plan)
+        p = plan.params
+        walk = plan.compiled_walk()
+        ni_max = max(key[3] for key in walk.operands)
+        assert sum(len(chunk.x_base) for chunk in walk.chunks) == len(_tiles(plan))
+        for chunk in walk.chunks:
+            columns = len(chunk.x_base) * chunk.shape[0] * chunk.shape[1]
+            assert (
+                len(chunk.x_base) == 1
+                or (p.no + ni_max) * columns * 8 <= MESH_STACK_BYTES
+            )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ConvParams(ni=8, no=16, ri=12, ci=12, kr=3, kc=3, b=16),
+            ConvParams(ni=16, no=16, ri=10, ci=10, kr=3, kc=3, b=16),
+        ],
+        ids=str,
+    )
+    def test_every_tuner_candidate_receives_operands_in_walk_order(self, params):
+        """Every direct candidate of the tuner's search space for the
+        ``train`` net's two convolutions, both families and every
+        promotion, compiles to a walk in its common order."""
+        from repro.tune.space import enumerate_candidates
+
+        blockings = {
+            (c.family, c.blocking): c for c in enumerate_candidates(params)
+        }
+        assert len(blockings) > 20
+        for candidate in blockings.values():
+            plan = candidate.build(params)
+            assert _receives_in_walk_order(plan), candidate.describe()
+
+    @pytest.mark.parametrize("fault", ["swapped", "missing-tile"])
+    def test_schedule_out_of_common_order_rejected(self, fault, monkeypatch):
+        """The compile step refuses a schedule the walk cannot replay
+        exactly: one tile's operands swapped, or a tile left out."""
+        from repro.common.errors import PlanError as Error
+        from repro.core.plans import TileStep
+
+        plan = ImageSizeAwarePlan(
+            ConvParams.from_output(ni=8, no=8, ro=2, co=4, kr=2, kc=2, b=8),
+            blocking=ImageBlocking(b_b=8, b_co=2),
+            spec=SMALL,
+        )
+        steps = plan.compiled_schedule()
+        first = steps[0]
+        if fault == "swapped":
+            computes = [first.computes[1], first.computes[0]] + first.computes[2:]
+            changed = (TileStep(first.gets, computes, first.puts, first.flops),)
+            match = "common order"
+        else:
+            changed = (TileStep(first.gets, [], first.puts, first.flops),)
+            match = "overlap or leave gaps"
+        monkeypatch.setattr(plan, "compiled_schedule", lambda: changed + steps[1:])
+        with pytest.raises(Error, match=match):
+            plan.compiled_walk()
+
+    @pytest.mark.parametrize("ni", [8, 16], ids=["kb1", "kb2"])
+    def test_train_conv_shapes(self, ni, rng):
+        """The ``train`` net's two convolutions (8 -> 16 and 16 -> 16
+        channels, batch 16, the batch-size-aware plan) at a reduced image
+        size: depth-1 and depth-2 slabs on the 8x8 mesh."""
+        params = ConvParams(ni=ni, no=16, ri=6, ci=6, kr=3, kc=3, b=16)
+        plan = BatchSizeAwarePlan(params)
+        x = rng.standard_normal(params.input_shape)
+        np.maximum(x, 0.0, out=x)  # ReLU'd activations: many exact zeros
+        w = rng.standard_normal(params.filter_shape)
+        results = self._runs(plan, x, w)
+        self._assert_parity(results)
+        assert np.array_equal(self._output(results), _tile_by_tile(plan, x, w))
+        engine = results["mesh-fast"][0]
+        assert set(engine._mesh_gemm._verified.values()) == {"slab"}
+
+    def test_one_row_blocks_stay_blocked(self, rng):
+        """No = 4 on the 4x4 mesh gives one-row W blocks, which BLAS
+        multiplies down another path than a wide slab: the walk's
+        signature certifies ``blocked`` and stays bit-identical."""
+        plan = ImageSizeAwarePlan(
+            ConvParams.from_output(ni=16, no=4, ro=2, co=4, kr=2, kc=2, b=4),
+            blocking=ImageBlocking(b_b=4, b_co=4),
+            spec=SMALL,
+        )
+        p = plan.params
+        x = rng.standard_normal(p.input_shape)
+        w = rng.standard_normal(p.filter_shape)
+        results = self._runs(plan, x, w)
+        self._assert_parity(results)
+        assert np.array_equal(self._output(results), _tile_by_tile(plan, x, w, SMALL))
+        engine = results["mesh-fast"][0]
+        assert set(engine._mesh_gemm._verified.values()) == {"blocked"}
 
     def test_output_rows_shared_by_two_stacks(self, rng):
-        """With Ni blocked as 8 + 4, each tile's updates change window
-        shape halfway, so every output element gets products from two
-        stacks; the second stack adds onto what the first wrote."""
+        """With Ni blocked as 8 + 4, every output element receives the
+        operands of two Ni blocks, of two W shapes: each chunk's
+        accumulator adds the products of both signatures in order."""
         plan = ImageSizeAwarePlan(
             ConvParams.from_output(ni=12, no=4, ro=2, co=4, kr=2, kc=2, b=4),
             blocking=ImageBlocking(b_b=4, b_co=2, b_ni=8),
             spec=SMALL,
         )
         p = plan.params
-        stacks_of = {}
-        for c, stack in zip(
-            (c for step in plan.compiled_schedule() for c in step.computes),
-            _greedy_stacks(plan),
-        ):
-            for b in range(c.bb, c.bb + c.bb_len):
-                for col in range(c.co, c.co + c.co_len):
-                    stacks_of.setdefault((b, c.ro, col), set()).add(stack)
-        assert len(stacks_of) == p.b * p.ro * p.co
-        assert all(len(stacks) == 2 for stacks in stacks_of.values())
+        walk = plan.compiled_walk()
+        assert {key[2:] for key in walk.operands} == {(0, 8), (8, 4)}
+        assert _receives_in_walk_order(plan)
         x = rng.standard_normal(p.input_shape)
         w = rng.standard_normal(p.filter_shape)
         results = self._runs(plan, x, w)
         self._assert_parity(results)
-        assert np.array_equal(results["mesh"][0], _tile_by_tile(plan, x, w, SMALL))
+        signatures = results["mesh-fast"][0]._mesh_gemm._verified
+        assert {w_shape for w_shape, _ in signatures} == {(4, 8), (4, 4)}
+        assert np.array_equal(self._output(results), _tile_by_tile(plan, x, w, SMALL))
 
     def test_walk_compiled_once_and_shared(self, rng, monkeypatch):
         """Engines of one plan share one compiled walk, built on first use."""
@@ -546,6 +699,7 @@ class TestStackedEngineRuns:
         w = rng.standard_normal(params.filter_shape)
         fast = ConvolutionEngine(plan, backend="mesh-fast")
         full = ConvolutionEngine(plan, backend="mesh")
+        calls = _call_sizes(fast)
         y_fast, _ = fast.run(x, w)
         walk = plan.compiled_walk()
         y_again, _ = fast.run(x, w)
@@ -553,17 +707,20 @@ class TestStackedEngineRuns:
         assert compiled == [plan]
         assert plan.compiled_walk() is walk
         assert np.array_equal(y_fast, y_full) and np.array_equal(y_fast, y_again)
+        # One multiply per chunk and operand, each over the chunk's tiles.
+        per_run = [len(c.x_base) for c in walk.chunks for _ in walk.operands]
+        assert calls == per_run * 2 == _expected_calls(plan) * 2
 
     def test_tiles_over_the_byte_budget_run_alone(self, rng):
         params = ConvParams(ni=128, no=64, ri=3, ci=18, kr=3, kc=3, b=16)
         plan = ImageSizeAwarePlan(params, blocking=ImageBlocking(b_b=16, b_co=16))
         m = 16 * 16
-        assert (params.no * params.ni + params.ni * m) * 8 > MESH_STACK_BYTES
+        assert (params.no + params.ni) * m * 8 > MESH_STACK_BYTES
         x = rng.standard_normal(params.input_shape)
         w = rng.standard_normal(params.filter_shape)
         results = self._runs(plan, x, w)
         self._assert_parity(results)
-        assert results["mesh-fast"][3] == [1] * (params.kr * params.kc)
+        assert self._sizes(results) == [1] * (params.kr * params.kc)
 
     def test_failed_run_leaves_no_queued_tiles(self, rng, monkeypatch):
         p = self.MIXED.params
@@ -575,7 +732,7 @@ class TestStackedEngineRuns:
         calls = []
 
         def failing(a, b):
-            calls.append(len(a))
+            calls.append(len(b))
             if len(calls) == 3:
                 raise SimulationError("injected mid-schedule failure")
             return real(a, b)

@@ -1,8 +1,9 @@
-"""Regenerated Fig. 7, Fig. 9 and Table III against the committed results.
+"""Every regenerated experiment against its committed ``results/*.json``.
 
-``results/*.json`` are what the paper's figures are drawn from; every
-numeric field must come back within a relative 1e-9 (the figures agree to
-~1e-14 across hosts, not bit for bit), every other field exactly.
+``results/*.json`` are what the paper's figures and tables are drawn
+from; every numeric field must come back within a relative 1e-9 (the
+figures agree to ~1e-14 across hosts, not bit for bit), every other field
+exactly.  The whole report regenerates in about half a second.
 """
 
 import json
@@ -10,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import fig7, fig9, table3
-from repro.experiments.artifacts import to_jsonable
+from repro.experiments.artifacts import _structured_runners, to_jsonable
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 RTOL = 1e-9
@@ -40,10 +40,14 @@ def _mismatches(got, want, path="result"):
     return [] if got == want else [f"{path}: {got!r} != {want!r}"]
 
 
-@pytest.mark.parametrize(
-    "name, run",
-    [("fig7", fig7.run), ("fig9", fig9.run), ("table3", table3.run)],
-)
+RUNNERS = _structured_runners()
+
+
+def test_every_committed_result_is_gated():
+    assert {path.stem for path in RESULTS.glob("*.json")} == set(RUNNERS)
+
+
+@pytest.mark.parametrize("name, run", sorted(RUNNERS.items()))
 def test_regenerated_matches_committed(name, run):
     committed = json.loads((RESULTS / f"{name}.json").read_text())["result"]
     assert _mismatches(to_jsonable(run()), committed) == []
