@@ -15,9 +15,11 @@ Records, into ``benchmarks/BENCH_serve.json``:
 
 Acceptance bars asserted here: batched throughput >= 3x sequential at
 the saturating rate, zero steady-state tuner measurements, and packed
-repeat-inference not slower than the unpacked path.  The written record
-carries the ``repro.serve/v1`` tag and passes ``python -m repro
-validate``, which holds the same bars.
+repeat-inference not slower than the unpacked path.  The throughput bar
+holds the median of ``BURSTS`` paired bursts, timed in alternating order
+after ``WARMUP_BURSTS`` untimed ones, and the record keeps the median
+pair's reports.  The written record carries the ``repro.serve/v1`` tag
+and passes ``python -m repro validate``, which holds the same bars.
 """
 
 import json
@@ -57,6 +59,13 @@ NI, NO, HW, K = 16, 16, 16, 3
 N_REQUESTS = 128
 RATE_RPS = 200_000.0
 MAX_BATCH = 16
+#: Bursts per side.  One burst on one worker thread is short enough for
+#: host noise to sink the bar, so it holds the median pair's speedup.
+BURSTS = 15
+#: Untimed rounds before them.  The first sequential pass and the first
+#: two bursts through a fresh server run 20-30% slower than later ones,
+#: and the bar compares the two paths warm.
+WARMUP_BURSTS = 2
 
 
 def _model():
@@ -73,8 +82,6 @@ def _throughput(record):
     baseline_pool = WarmEnginePool(
         model, max_batch=MAX_BATCH, autotune=False, guarded=True
     )
-    seq_report, seq_outputs = run_sequential(baseline_pool, images)
-
     config = ServerConfig(
         max_batch=MAX_BATCH,
         max_wait_s=0.001,
@@ -84,21 +91,32 @@ def _throughput(record):
         guarded=True,
     )
     telem = Telemetry()
+    pairs = []
     with InferenceServer(model, config, telemetry=telem) as server:
-        bat_report, bat_outputs = run_load(
-            server, images, rate_rps=RATE_RPS, seed=2
-        )
-    assert bat_report.completed == N_REQUESTS, bat_report.as_dict()
+        for burst in range(WARMUP_BURSTS + BURSTS):
+            # Alternate which side goes first, so a drift of the host
+            # hits both sides alike.
+            if burst % 2 == 0:
+                seq_report, seq_outputs = run_sequential(baseline_pool, images)
+            bat_report, bat_outputs = run_load(
+                server, images, rate_rps=RATE_RPS, seed=2
+            )
+            if burst % 2 == 1:
+                seq_report, seq_outputs = run_sequential(baseline_pool, images)
+            assert bat_report.completed == N_REQUESTS, bat_report.as_dict()
+            # Bit-identity: every batched output equals its per-request twin.
+            for batched, alone in zip(bat_outputs, seq_outputs):
+                np.testing.assert_array_equal(batched, alone)
+            if burst >= WARMUP_BURSTS:
+                pairs.append((bat_report.rps / seq_report.rps, seq_report, bat_report))
     assert server.counters_balanced()
 
-    # Bit-identity: every batched output equals its per-request twin.
-    for batched, alone in zip(bat_outputs, seq_outputs):
-        np.testing.assert_array_equal(batched, alone)
-
-    speedup = bat_report.rps / seq_report.rps
+    pairs.sort(key=lambda pair: pair[0])
+    speedup, seq_report, bat_report = pairs[len(pairs) // 2]
     assert speedup >= MIN_BATCHED_SPEEDUP, (
         f"dynamic batching gives only {speedup:.2f}x over sequential "
-        f"({bat_report.rps:.0f} vs {seq_report.rps:.0f} rps)"
+        f"({bat_report.rps:.0f} vs {seq_report.rps:.0f} rps; median of "
+        f"{BURSTS} bursts: {', '.join(f'{r:.2f}x' for r, _, _ in pairs)})"
     )
     record["throughput"] = {
         "layer": f"ni={NI} no={NO} image={HW}x{HW} k={K}",

@@ -885,7 +885,8 @@ class ConvolutionEngine:
             # Bus/LDM statistics describe one plan execution, not the
             # engine's lifetime.
             self._mesh_gemm.reset_stats()
-            self._run_walk(x, w, out)
+            with self._mesh_gemm.deferred_statistics():
+                self._run_walk(x, w, out)
         else:
             self._run_updates(x, w, out, filter_version)
         # Fused epilogue: on hardware this runs per output tile while it is
@@ -970,6 +971,12 @@ class ConvolutionEngine:
         once.  Every output element receives the products of updating
         tile by tile, in the same order, so the output is bit-identical to
         it.
+
+        The run defers the fast path's statistics for the walk
+        (:meth:`~repro.core.register_comm.MeshGemm.deferred_statistics`):
+        each multiply tallies its pairs, and each operand shape's tally is
+        posted once when the walk ends or raises, with the same integer
+        totals as one post per multiply.
         """
         p = self.plan.params
         walk = self.plan.compiled_walk()

@@ -11,7 +11,11 @@ Two forward implementations:
 
 The backward pass (gradients with respect to inputs and filters) supports
 the training workloads the paper targets; gradcheck tests validate it
-against numeric differentiation.
+against numeric differentiation.  It calls no ``einsum``: per filter tap
+it makes the two ``np.matmul`` calls that ``np.einsum(optimize=True)``
+lowers the tap's contractions to, with the same operand order, shapes and
+layouts.  That order, not only the values, decides the gradients' last
+bits, and with them every trained-weights digest, so it must not change.
 """
 
 from __future__ import annotations
@@ -76,7 +80,24 @@ def conv2d_backward_reference(
     """Gradients of the reference convolution.
 
     Returns ``(grad_x, grad_w)`` for upstream gradient ``grad_out`` of shape
-    (B, No, Ro, Co).
+    (B, No, Ro, Co); ``grad_x`` is C-contiguous.
+
+    Per filter tap ``(kr, kc)``, with ``M = B * Ro * Co``:
+
+    * ``grad_w[:, :, kr, kc]`` is the tap's window as a C-contiguous
+      (Ni x M) copy times ``grad_out`` as a C-contiguous (M x No) matrix,
+      transposed.  numpy's einsum lowering puts the window first; the
+      (No x M) @ (M x Ni) order rounds differently.
+    * ``grad_x`` receives the filter tap's strided (Ni x No) view,
+      ``w[:, :, kr, kc].T``, times ``grad_out`` as a C-contiguous (No x M)
+      matrix, added into an (Ni, B, Ri, Ci) accumulator that is
+      transposed once at the end.  Every element starts at +0.0 and
+      receives its products in tap order.
+
+    Both ``grad_out`` layouts are built once per call.  Where B, Ni, No or
+    Ro * Co is 1, einsum drops that index and hands ``matmul`` other shapes
+    and layouts (or multiplies), so there the last bits and the signs of
+    zeros may differ from the einsum form; the values agree to rounding.
     """
     p = _check_forward_args(x, w)
     if grad_out.shape != p.output_shape:
@@ -84,20 +105,22 @@ def conv2d_backward_reference(
             f"grad_out shape {grad_out.shape} does not match output "
             f"{p.output_shape}"
         )
-    grad_x = np.zeros_like(x, dtype=np.float64)
-    grad_w = np.zeros_like(w, dtype=np.float64)
+    m = p.b * p.ro * p.co
+    g_om = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3)).reshape(p.no, m)
+    g_mo = np.ascontiguousarray(g_om.T)
+    acc = np.zeros((p.ni, p.b, p.ri, p.ci))
+    grad_w = np.empty(p.filter_shape)
     for dkr in range(p.kr):
         for dkc in range(p.kc):
             window = x[:, :, dkr : dkr + p.ro, dkc : dkc + p.co]
             # dL/dw[o, n, dkr, dkc] = sum_{b,r,c} g[b,o,r,c] * x[b,n,r+dkr,c+dkc]
-            grad_w[:, :, dkr, dkc] = np.einsum(
-                "borc,bnrc->on", grad_out, window, optimize=True
-            )
+            columns = window.transpose(1, 0, 2, 3).reshape(p.ni, m)
+            grad_w[:, :, dkr, dkc] = (columns @ g_mo).T
             # dL/dx[b, n, r+dkr, c+dkc] += sum_o g[b,o,r,c] * w[o,n,dkr,dkc]
-            grad_x[:, :, dkr : dkr + p.ro, dkc : dkc + p.co] += np.einsum(
-                "borc,on->bnrc", grad_out, w[:, :, dkr, dkc], optimize=True
-            )
-    return grad_x, grad_w
+            acc[:, :, dkr : dkr + p.ro, dkc : dkc + p.co] += (
+                w[:, :, dkr, dkc].T @ g_om
+            ).reshape(p.ni, p.b, p.ro, p.co)
+    return np.ascontiguousarray(acc.transpose(1, 0, 2, 3)), grad_w
 
 
 def conv2d_im2col(x: np.ndarray, w: np.ndarray) -> np.ndarray:

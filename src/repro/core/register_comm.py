@@ -39,12 +39,16 @@ fast path the certified strategy runs once over all ``T * M`` columns,
 side by side, and the statistics of all ``T`` schedules are posted in one
 bulk update, which is what makes many tiny tile GEMMs cheap.  The
 signature is the operand shapes with ``T`` included, so a strategy is
-certified at the width it runs at.
+certified at the width it runs at.  Inside
+:meth:`MeshGemm.deferred_statistics` (the conv engine's walk) the fast
+path posts nothing per multiply: it tallies pairs per operand shape and
+posts each tally once, when the block ends.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,11 +127,35 @@ class MeshGemm:
         self._verified: Dict[Tuple[Tuple[int, int], Tuple[int, int, int]], str] = {}
         #: Lazily created scratch mesh for certification probes.
         self._probe: Optional["MeshGemm"] = None
+        #: Inside :meth:`deferred_statistics`, the fast-path pairs held
+        #: back per (W shape, operand shape); None outside it.
+        self._tally: Optional[Dict[Tuple[Tuple[int, int], ...], int]] = None
 
     @property
     def verified_signatures(self) -> int:
         """How many (W shape, D stack shape) signatures the session has verified."""
         return len(self._verified)
+
+    @contextmanager
+    def deferred_statistics(self) -> Iterator[None]:
+        """Post the fast path's statistics once per operand shape, on exit.
+
+        Inside the block, each session-mode multiply adds its pair count
+        to a tally per (W shape, operand shape) instead of posting it.  On
+        exit, normal or by an exception, each tally is posted in one
+        update, covering exactly the multiplies that completed.  The
+        statistics are integer totals, so the buses, the CPEs and the
+        telemetry counters end as if every multiply had posted its own.
+        Full mode posts as it moves blocks and tallies nothing.  Like an
+        engine run, the block is not shared between threads.
+        """
+        tally = self._tally = {}
+        try:
+            yield
+        finally:
+            self._tally = None
+            for (w_shape, d_shape), pairs in tally.items():
+                self._account_fast_path(w_shape, d_shape, pairs)
 
     def multiply(self, w: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Compute ``w @ d`` by the Fig. 3 register-communication schedule.
@@ -180,12 +208,22 @@ class MeshGemm:
         strategy = self._verified.get(signature)
         if strategy is not None:
             result = self._fast_multiply(w, d, strategy)
-            self._account_fast_path(w, d, len(d))
+            self._charge(w.shape, d.shape[1:], len(d))
             return result
         strategy, result = self._certify(w, d)
         self._verified[signature] = strategy
-        self._account_fast_path(w, d, len(d) - 1)
+        self._charge(w.shape, d.shape[1:], len(d) - 1)
         return result
+
+    def _charge(
+        self, w_shape: Tuple[int, int], d_shape: Tuple[int, int], t: int
+    ) -> None:
+        """Post ``t`` fast-path pairs now, or tally them in a deferred block."""
+        if self._tally is None:
+            self._account_fast_path(w_shape, d_shape, t)
+        else:
+            key = (w_shape, d_shape)
+            self._tally[key] = self._tally.get(key, 0) + t
 
     def _certify(self, w: np.ndarray, d: np.ndarray) -> Tuple[str, np.ndarray]:
         """Pick the fastest strategy that is bit-identical to the protocol.
@@ -368,25 +406,30 @@ class MeshGemm:
         # (i, br, t, j, bc) -> (No, t * M): the pairs' columns side by side.
         return acc.transpose(1, 3, 0, 2, 4).reshape(no, t * m)
 
-    def _account_fast_path(self, w: np.ndarray, d: np.ndarray, t: int) -> None:
+    def _account_fast_path(
+        self, w_shape: Tuple[int, int], d_shape: Tuple[int, int], t: int
+    ) -> None:
         """Apply the statistics the full schedules of ``t`` pairs would record.
 
-        Per multiply the Fig. 3 schedule performs, on each of the ``n``
-        steps, one W-block broadcast per row bus and one D-block broadcast
-        per column bus; every CPE sends its W block once (at step = its
-        column) and its D block once (at step = its row), receives
+        ``w_shape`` is (No, Ni) and ``d_shape`` one operand's (Ni, M), both
+        float64.  Per multiply the Fig. 3 schedule performs, on each of the
+        ``n`` steps, one W-block broadcast per row bus and one D-block
+        broadcast per column bus; every CPE sends its W block once (at step
+        = its column) and its D block once (at step = its row), receives
         ``2 * (n - 1)`` foreign blocks, and accumulates ``n`` block
         products.  ``t`` multiplies charge ``t`` times that in one update
-        per bus and per CPE.
+        per bus and per CPE, whether they are one stack or, through
+        :meth:`deferred_statistics`, every multiply of a walk.
         """
         if t == 0:
             return
         n = self.mesh.size
-        no, ni = w.shape
-        m = d.shape[2]
+        no, ni = w_shape
+        m = d_shape[1]
         br, kb, bc = no // n, ni // n, m // n
-        w_block_bytes = br * kb * w.itemsize
-        d_block_bytes = kb * bc * d.itemsize
+        word = np.dtype(np.float64).itemsize
+        w_block_bytes = br * kb * word
+        d_block_bytes = kb * bc * word
         for bus in self.mesh.row_buses:
             bus.account_bulk(w_block_bytes, receivers=n - 1, operations=n * t)
         for bus in self.mesh.col_buses:

@@ -168,8 +168,11 @@ def profile_network(
 ) -> List[LayerCost]:
     """Per-layer simulated (forward, backward) cost at ``batch`` per node.
 
-    A zeros probe pass records each layer's input shape; conv and dense
-    layers are priced by :func:`repro.core.zoo.layer_cost` as the matching
+    A zeros probe records each layer's input shape.  A conv layer's output
+    shape comes from its :class:`~repro.core.params.ConvParams`, so the
+    probe plans, certifies and runs no convolution; every other layer runs
+    its forward pass on the probe.  Conv and dense layers are priced by
+    :func:`repro.core.zoo.layer_cost` as the matching
     :class:`~repro.core.zoo.ZooLayer`, and the elementwise/bookkeeping
     layers (ReLU, pooling, flatten) are free at this resolution.  The
     gradient payload counts every parameter the layer allreduces, bias
@@ -181,22 +184,26 @@ def profile_network(
     x = np.zeros((batch, c, h, w))
     costs: List[LayerCost] = []
     for index, layer in enumerate(network.layers):
-        shape = x.shape
-        x = layer.forward(x)
         name = f"{index}:{type(layer).__name__}"
         grad_bytes = sum(p.nbytes for p in layer.parameters().values())
         if isinstance(layer, Conv2D):
-            b, ni, ri, ci = shape
-            no, _, kr, kc = layer.w.shape
+            b, ni, ri, ci = x.shape
+            no, ni_w, kr, kc = layer.w.shape
+            if ni_w != ni:
+                raise PlanError(
+                    f"{name}: input has {ni} channels, its filters take {ni_w}"
+                )
             params = ConvParams(ni=ni, no=no, ri=ri, ci=ci, kr=kr, kc=kc, b=b)
+            x = np.zeros(params.output_shape)
             zoo = ZooLayer(name, "conv", conv=params)
-        elif isinstance(layer, Dense):
+        else:
+            x = layer.forward(x)
+            if not isinstance(layer, Dense):
+                costs.append(LayerCost(name, 0.0, 0.0, grad_bytes))
+                continue
             in_features, out_features = layer.w.shape
             gemm = GemmParams(m=out_features, n=batch, k=in_features)
             zoo = ZooLayer(name, "fc", fc=gemm)
-        else:
-            costs.append(LayerCost(name, 0.0, 0.0, grad_bytes))
-            continue
         costs.append(replace(layer_cost(zoo, spec), gradient_bytes=grad_bytes))
     return costs
 

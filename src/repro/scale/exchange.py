@@ -44,9 +44,11 @@ def exact_sum(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
     Two terms need no ``fsum`` pass: IEEE addition of two doubles already
     rounds their exact sum correctly.  It differs from ``fsum`` only where
-    the sum is zero (``fsum`` returns ``+0.0`` for ``-0.0 + -0.0``) or not
-    finite (``fsum`` raises on overflow and on ``inf - inf``), so exactly
-    those entries are summed again with ``fsum``, in flat order.
+    the sum is zero or not finite.  Two finite doubles sum to zero only
+    where they cancel exactly, and ``fsum`` returns ``+0.0`` there whatever
+    the zeros' signs (``-0.0 + -0.0`` included), so those entries are set
+    in one array operation.  Only the non-finite entries are summed again
+    with ``fsum``, in flat order: it raises on overflow and on ``inf - inf``.
     """
     if not arrays:
         raise PlanError("exact_sum needs at least one array")
@@ -71,8 +73,10 @@ def _exact_sum_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # fsum decides those
         out = np.add(a, b, out=np.empty(a.shape))
+    # +0.0 turns a -0.0 sum into fsum's +0.0 and leaves every other value.
+    out += 0.0
     flat = out.reshape(-1)
-    redo = np.flatnonzero((flat == 0.0) | ~np.isfinite(flat))
+    redo = np.flatnonzero(~np.isfinite(flat))
     if redo.size:
         flat_a = a.reshape(-1)
         flat_b = b.reshape(-1)

@@ -78,15 +78,18 @@ class TestSessionMeshGemm:
         assert np.array_equal(full, fast)
 
     def test_fast_path_statistics_match_full(self, rng):
-        w, d = _pair(rng, (16, 24), (24, 16))
-        full = MeshGemm(spec=SMALL, mode="full")
-        full.multiply(w, d)
-        session = MeshGemm(spec=SMALL, mode="session")
-        session.multiply(w, d)  # verify (runs the full protocol once)
-        session.reset_stats()
-        session.multiply(w, d)  # pure fast path
-        assert _mesh_stats(session) == _mesh_stats(full)
-        assert session.bus_bytes() == full.bus_bytes()
+        """A multiply outside a walk posts its statistics on return, for a
+        single operand and for a stack."""
+        for shape_d in ((24, 16), (3, 24, 16)):
+            w, d = _pair(rng, (16, 24), shape_d)
+            full = MeshGemm(spec=SMALL, mode="full")
+            full.multiply(w, d)
+            session = MeshGemm(spec=SMALL, mode="session")
+            session.multiply(w, d)  # verify (runs the full protocol once)
+            session.reset_stats()
+            session.multiply(w, d)  # pure fast path
+            assert _mesh_stats(session) == _mesh_stats(full)
+            assert session.bus_bytes() == full.bus_bytes()
 
     def test_reset_stats_clears_counters_keeps_signatures(self, rng):
         gemm = MeshGemm(spec=SMALL, mode="session")
@@ -726,13 +729,14 @@ class TestStackedEngineRuns:
         p = self.MIXED.params
         x = rng.standard_normal(p.input_shape)
         w = rng.standard_normal(p.filter_shape)
-        engine = ConvolutionEngine(self.MIXED, backend="mesh-fast")
+        telemetry = Telemetry()
+        engine = ConvolutionEngine(self.MIXED, backend="mesh-fast", telemetry=telemetry)
         gemm = engine._mesh_gemm
         real = gemm.multiply
         calls = []
 
         def failing(a, b):
-            calls.append(len(b))
+            calls.append((a, b))
             if len(calls) == 3:
                 raise SimulationError("injected mid-schedule failure")
             return real(a, b)
@@ -741,6 +745,14 @@ class TestStackedEngineRuns:
         with pytest.raises(SimulationError, match="injected"):
             engine.run(x, w)
         monkeypatch.undo()
+        # The walk posted its held-back statistics as it raised: exactly
+        # those of the two multiplies that completed, each posted alone.
+        replay_telemetry = Telemetry()
+        replay = MeshGemm(mode="session", telemetry=replay_telemetry)
+        for a, b in calls[:2]:
+            replay.multiply(a, b)
+        assert _mesh_stats(gemm) == _mesh_stats(replay)
+        assert _mesh_counters(telemetry) == _mesh_counters(replay_telemetry)
         y, report = engine.run(x, w)
         fresh = ConvolutionEngine(self.MIXED, backend="mesh-fast")
         y_fresh, report_fresh = fresh.run(x, w)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.reference import (
     conv2d_backward_reference,
@@ -124,3 +124,102 @@ class TestBackward:
         x, w = _random_case(rng)
         with pytest.raises(ValueError):
             conv2d_backward_reference(x, w, np.zeros((1, 1, 1, 1)))
+
+
+def _einsum_backward(x, w, grad_out):
+    """The backward pass as per-tap ``einsum`` contractions: the oracle.
+
+    ``conv2d_backward_reference`` makes the two ``matmul`` calls numpy's
+    ``einsum(optimize=True)`` lowers each tap to, so it must keep these
+    bits exactly wherever no index has size 1.
+    """
+    b, ni, ri, ci = x.shape
+    no, _, kr, kc = w.shape
+    ro, co = ri - kr + 1, ci - kc + 1
+    grad_x = np.zeros_like(x, dtype=np.float64)
+    grad_w = np.zeros_like(w, dtype=np.float64)
+    for dkr in range(kr):
+        for dkc in range(kc):
+            window = x[:, :, dkr : dkr + ro, dkc : dkc + co]
+            grad_w[:, :, dkr, dkc] = np.einsum(
+                "borc,bnrc->on", grad_out, window, optimize=True
+            )
+            grad_x[:, :, dkr : dkr + ro, dkc : dkc + co] += np.einsum(
+                "borc,on->bnrc", grad_out, w[:, :, dkr, dkc], optimize=True
+            )
+    return grad_x, grad_w
+
+
+def _backward_case(rng, b, ni, no, ro, co, kr, kc):
+    """Random operands whose upstream gradient passed a ReLU: about a third
+    of it is zero, with the sign of the gradient it masked, so products of
+    either zero occur."""
+    x = rng.standard_normal((b, ni, ro + kr - 1, co + kc - 1))
+    w = rng.standard_normal((no, ni, kr, kc))
+    grad_out = rng.standard_normal((b, no, ro, co))
+    grad_out *= rng.random(grad_out.shape) >= 1 / 3
+    return x, w, grad_out
+
+
+def _bits(a):
+    return a.shape, a.view(np.int64).tobytes()
+
+
+class TestBackwardAgainstEinsum:
+    """The einsum-free backward keeps the einsum form's bits."""
+
+    @given(
+        b=st.integers(2, 16),
+        ni=st.integers(2, 8),
+        no=st.integers(2, 8),
+        ro=st.integers(1, 6),
+        co=st.integers(1, 6),
+        kr=st.integers(1, 5),
+        kc=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical(self, b, ni, no, ro, co, kr, kc, seed):
+        assume(ro * co >= 2)
+        x, w, g = _backward_case(np.random.default_rng(seed), b, ni, no, ro, co, kr, kc)
+        gx, gw = conv2d_backward_reference(x, w, g)
+        ex, ew = _einsum_backward(x, w, g)
+        assert _bits(gx) == _bits(ex)
+        assert _bits(gw) == _bits(ew)
+        assert gx.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "ni, no, ri", [(8, 16, 12), (16, 16, 10)], ids=["conv1", "conv2"]
+    )
+    def test_train_conv_shapes(self, ni, no, ri, rng):
+        """The benchmark net's convolutions, at its per-node batch of 16."""
+        x, w, g = _backward_case(rng, 16, ni, no, ri - 2, ri - 2, 3, 3)
+        gx, gw = conv2d_backward_reference(x, w, g)
+        ex, ew = _einsum_backward(x, w, g)
+        assert _bits(gx) == _bits(ex)
+        assert _bits(gw) == _bits(ew)
+
+    @pytest.mark.parametrize(
+        "b, ni, no, ro, co",
+        [
+            (4, 1, 6, 5, 4),
+            (4, 6, 1, 5, 4),
+            (1, 6, 5, 4, 3),
+            (5, 6, 4, 1, 1),
+            (1, 6, 5, 1, 1),
+            (1, 1, 1, 1, 1),
+        ],
+        ids=["ni1", "no1", "b1", "rc1", "brc1", "all1"],
+    )
+    def test_size_one_indices_agree_to_rounding(self, b, ni, no, ro, co, rng):
+        """Where an index has size 1, einsum drops it and hands ``matmul``
+        other layouts (or multiplies), so only the values must agree.  An
+        entry sums at most 80 products of standard normals (B * Ro * Co
+        for grad_w, No * Kr * Kc for grad_x): two summation orders differ
+        by under 80 * 2**-52 times its absolute sum, well inside ``atol``."""
+        for kr, kc in ((1, 1), (3, 2)):
+            x, w, g = _backward_case(rng, b, ni, no, ro, co, kr, kc)
+            gx, gw = conv2d_backward_reference(x, w, g)
+            ex, ew = _einsum_backward(x, w, g)
+            np.testing.assert_allclose(gx, ex, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gw, ew, rtol=1e-12, atol=1e-12)

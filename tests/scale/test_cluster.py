@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core.layers import AvgPool2D, Conv2D, Dense, Flatten, ReLU, SoftmaxCr
 from repro.core.gemm_plan import GemmParams
 from repro.core.network import SGD, Sequential, synthetic_image_dataset
 from repro.core.params import ConvParams
+from repro.core.register_comm import MeshGemm
 from repro.core.zoo import ZooLayer, layer_cost
 from repro.scale.cluster import (
     ClusterFaultSpec,
@@ -23,6 +25,7 @@ from repro.scale.cluster import (
 )
 from repro.scale.exchange import ClusterExchange, exact_sum, reduce_micro_gradients
 from repro.scale.network import InterconnectModel
+from repro.scale.report import EXECUTED_INPUT_SHAPE, small_cnn_factory
 from repro.telemetry import Telemetry
 
 pytestmark = pytest.mark.scale
@@ -118,6 +121,12 @@ class TestExactSumOfTwo:
         assert exact_sum([a, b]).tobytes() == _fsum_loop([a, b]).tobytes()
         shaped = [a.reshape(100, 1000), b.reshape(100, 1000)]
         assert exact_sum(shaped).tobytes() == _fsum_loop(shaped).tobytes()
+        # Sums that cancel to zero, as a masked gradient's do: x / -x
+        # pairs, (-0.0, -0.0) and (+0.0, -0.0) among finite values.
+        b[::3] = -a[::3]
+        a[1::7] = b[1::7] = -0.0
+        a[2::11], b[2::11] = 0.0, -0.0
+        assert exact_sum([a, b]).tobytes() == _fsum_loop([a, b]).tobytes()
 
     def test_subnormal_pairs_match_fsum_loop(self, rng):
         a = rng.integers(-2**20, 2**20, size=10_000) * 5e-324
@@ -232,6 +241,79 @@ class TestProfileNetwork:
         for executed, modeled in zip((costs[0], costs[4]), zoo):
             assert executed.forward_seconds == modeled.forward_seconds
             assert executed.backward_seconds == modeled.backward_seconds
+
+
+def _profile_by_forward(network, input_shape, batch):
+    """The probe that ran every layer's forward pass, conv layers included:
+    the reference for :func:`profile_network`'s costs."""
+    x = np.zeros((batch, *input_shape))
+    costs = []
+    for index, layer in enumerate(network.layers):
+        shape = x.shape
+        x = layer.forward(x)
+        name = f"{index}:{type(layer).__name__}"
+        grad_bytes = sum(p.nbytes for p in layer.parameters().values())
+        if isinstance(layer, Conv2D):
+            b, ni, ri, ci = shape
+            no, _, kr, kc = layer.w.shape
+            params = ConvParams(ni=ni, no=no, ri=ri, ci=ci, kr=kr, kc=kc, b=b)
+            zoo = ZooLayer(name, "conv", conv=params)
+        elif isinstance(layer, Dense):
+            in_features, out_features = layer.w.shape
+            zoo = ZooLayer(name, "fc", fc=GemmParams(m=out_features, n=batch, k=in_features))
+        else:
+            costs.append(LayerCost(name, 0.0, 0.0, grad_bytes))
+            continue
+        costs.append(replace(layer_cost(zoo), gradient_bytes=grad_bytes))
+    return costs
+
+
+def _train_benchmark_net():
+    """The benchmark's ``train`` net: mesh-fast convolutions, 8x12x12 in."""
+    rng = np.random.default_rng(3)
+    conv = dict(rng=rng, engine="simulated", backend="mesh-fast")
+    return Sequential(
+        [
+            Conv2D(8, 16, 3, 3, **conv),
+            ReLU(),
+            Conv2D(16, 16, 3, 3, **conv),
+            ReLU(),
+            AvgPool2D(2),
+            Flatten(),
+            Dense(16 * 4 * 4, CLASSES, rng=rng),
+        ]
+    )
+
+
+class TestProfileNetworkProbe:
+    """The probe takes conv output shapes from ConvParams: it plans,
+    certifies and runs no convolution, and prices every layer as running
+    the layers did."""
+
+    @pytest.mark.parametrize(
+        "factory, input_shape, batch",
+        [
+            (_train_benchmark_net, (8, 12, 12), 16),
+            (small_cnn_factory(), EXECUTED_INPUT_SHAPE, 8),
+        ],
+        ids=["train-net", "report-stack"],
+    )
+    def test_same_costs_without_running_convs(self, factory, input_shape, batch, monkeypatch):
+        expected = _profile_by_forward(factory(), input_shape, batch)
+
+        def no_certify(*args):
+            raise AssertionError("profile_network certified a mesh signature")
+
+        monkeypatch.setattr(MeshGemm, "_certify", no_certify)
+        network = factory()
+        assert profile_network(network, input_shape, batch) == expected
+        convs = [layer for layer in network.layers if isinstance(layer, Conv2D)]
+        assert convs and all(not conv._engine_cache for conv in convs)
+
+    def test_channel_mismatch_rejected(self):
+        network = Sequential([Conv2D(4, 8, 3, 3), ReLU()])
+        with pytest.raises(PlanError, match="channels"):
+            profile_network(network, SHAPE, batch=2)
 
 
 class TestPlanBuckets:
